@@ -1,5 +1,7 @@
 """Matched-pair container, dose links, effect models, CSV round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -173,3 +175,47 @@ def test_sample_iteration_and_len(three_pairs):
     assert isinstance(three_pairs, MatchedSample)
     assert len(three_pairs) == 3
     assert [p.pair_id for p in three_pairs] == ["1", "2", "3"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("bad_nan_y.csv", "y_of_hi must be finite, got nan"),
+        ("bad_inf_z.csv", "z_hi must be finite, got inf"),
+        ("bad_tied_doses.csv", "pair '2': tied doses (1.5)"),
+        ("bad_duplicate_unit.csv", "pair '1': duplicate unit id 'a'"),
+        ("bad_three_rows.csv", "pair '1' has 3 rows, expected 2"),
+        (
+            "bad_non_numeric_x.csv",
+            "line 3: non-numeric field: could not convert string to float: 'high'",
+        ),
+        ("bad_first_fault_wins.csv", "y_of_lo must be finite, got -inf"),
+        (
+            lambda: sample_from_arrays(
+                [1.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0] * 3, [1.0] * 3, pair_ids=["a", "b", "a"]
+            ),
+            "duplicate pair id 'a'",
+        ),
+        (
+            lambda: sample_from_arrays(
+                [1.0, 2.0, 0.0], [2.0, 2.0, 3.0], [0.0] * 3, [1.0, np.nan, 1.0], pair_ids=[7, 8, 8]
+            ),
+            "pair 8: tied doses (2.0)",
+        ),
+        (
+            lambda: sample_from_arrays([1.0, 2.0], [2.0, 3.0], [0.0, np.inf], [1.0, 1.0]),
+            "y_of_lo must be finite, got inf",
+        ),
+    ],
+    ids=[
+        "nan-y", "inf-z", "tied-doses", "duplicate-unit", "three-rows", "non-numeric-x",
+        "first-fault-wins", "duplicate-pair-id", "tie-before-nan", "inf-y-from-arrays",
+    ],
+)
+def test_ingestion_errors_name_the_first_offending_pair(source, message):
+    with pytest.raises(DataError) as err:
+        source() if callable(source) else read_csv(GOLDEN / source)
+    assert str(err.value) == message
