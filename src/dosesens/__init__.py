@@ -41,7 +41,6 @@ from .pairs import (
 from .scores import (
     ScoredSample,
     ScoreSpec,
-    exact_randomization_pvalue,
     parse_phi_expression,
     score,
     score_from_arrays,
@@ -103,7 +102,6 @@ __all__ = [
     "write_csv",
     "ScoredSample",
     "ScoreSpec",
-    "exact_randomization_pvalue",
     "parse_phi_expression",
     "score",
     "score_from_arrays",

@@ -33,14 +33,15 @@ Monte Carlo noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .dgps import DgpSpec, rank_score_fn  # noqa: F401  (re-exported API)
 from .errors import ConfigError, DataError, SolverError
 from .gammas import MAX_EXPONENT, gamma_for_mean_bound
+from .scores import rank
 
 _BISECT_ITER = 200
 
@@ -57,16 +58,7 @@ class DesignSensitivityResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma_star": self.gamma_star,
-            "gamma_bar_star": self.gamma_bar_star,
-            "lhs_rhs_residual": self.lhs_rhs_residual,
-            "mc_std_err": self.mc_std_err,
-            "null_case": self.null_case,
-            "non_monotone_lhs": self.non_monotone_lhs,
-            "mc_draws": self.mc_draws,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -80,15 +72,7 @@ class BahadurResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma_bar": self.gamma_bar,
-            "mu": self.mu,
-            "t_tilde": self.t_tilde,
-            "omega0_at_t": self.omega0_at_t,
-            "slope": self.slope,
-            "mc_draws": self.mc_draws,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _population_components(dgp: DgpSpec, stream: tuple = ()):
@@ -98,10 +82,7 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
     assessing the Monte Carlo variability of the outputs.
     """
     z1, z2, y1, y2 = dgp.draw(stream=tuple(stream))
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
+    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in (z1, z2, y1, y2))
     dose_diff = z1 - z2
     if np.any(dose_diff == 0):
         raise DataError("DGP produced tied doses within a pair")
@@ -113,8 +94,8 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
 
     n = dose_diff.size
     # right-continuous empirical CDF evaluated at the draws: rank_max / n
-    u = stats.rankdata(np.abs(dose_diff), method="max") / n
-    v = stats.rankdata(np.abs(outcome_diff), method="max") / n
+    u = rank(np.abs(dose_diff), ties="max") / n
+    v = rank(np.abs(outcome_diff), ties="max") / n
     phi_values = np.asarray(dgp.phi_fn()(u, v), dtype=float)
     if phi_values.shape != u.shape:
         raise DataError("phi must return one value per draw")

@@ -35,7 +35,7 @@ from .gammas import build_schedule
 from .pairs import DoseLink, read_csv
 from .scores import KINDS, ScoreSpec, parse_phi_expression, score
 from .sharp import confidence_region, worst_case_pvalue
-from .simulate import power_curve, write_json, write_power_csv
+from .simulate import power_curve, write_power_csv
 from .weaknull import SolverConfig, WeakNullProblem, weak_null_ci, worst_case_zscore
 
 # CLI spelling of the dose-weighted score; the library name is explicit
@@ -360,6 +360,9 @@ def _add_common(sub):
     sub.add_argument("--output", help="write the full report here instead of stdout")
 
 
+_TEST_DEFAULTS = {"test": "wilcoxon", "ties": "midrank", "normalize_ranks": False}
+
+
 def _add_test_options(sub):
     sub.add_argument(
         "--test",
@@ -416,9 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         _run=_run_analyze,
         _needs_seed=False,
         _defaults={
-            "test": "wilcoxon",
-            "ties": "midrank",
-            "normalize_ranks": False,
+            **_TEST_DEFAULTS,
             "link": "identity",
             "method": "auto",
             "reps": 100_000,
@@ -444,9 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         _run=_run_ci,
         _needs_seed=False,
         _defaults={
-            "test": "wilcoxon",
-            "ties": "midrank",
-            "normalize_ranks": False,
+            **_TEST_DEFAULTS,
             "link": "identity",
             "model": "constant",
             "alpha": 0.05,
@@ -548,9 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         _defaults={
             "dgp": "paired-normal",
             "phi": "wilcoxon",
-            "test": "wilcoxon",
-            "ties": "midrank",
-            "normalize_ranks": False,
+            **_TEST_DEFAULTS,
             "link": "identity",
             "draws": 1_000_000,
             "n_pairs": 500,

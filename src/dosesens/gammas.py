@@ -78,13 +78,6 @@ class GammaSchedule:
     def p_minus(self) -> np.ndarray:
         return 1.0 / (1.0 + self.gamma_i)
 
-    def assignment_bounds(self, i: int) -> tuple:
-        """(lower, upper) bounds on pair i's biased assignment probability."""
-        if not 0 <= i < self.n_pairs:
-            raise ConfigError(f"pair index {i} out of range")
-        g = float(self.gamma_i[i])
-        return 1.0 / (1.0 + g), g / (1.0 + g)
-
     def to_json_dict(self) -> dict:
         per_pair = []
         for i in range(self.n_pairs):
@@ -186,9 +179,9 @@ def schedule_from_gamma_bar(
     tol: float = BISECTION_TOL,
 ) -> GammaSchedule:
     """Schedule whose mean per-pair bound equals ``gamma_bar``."""
-    gaps = link_gaps(sample, link)
-    gamma = gamma_for_mean_bound(gamma_bar, gaps, tol=tol)
-    return _schedule_from_gamma_gaps(gamma, gaps, sample.pair_ids)
+    return schedule_from_gamma_bar_gaps(
+        gamma_bar, link_gaps(sample, link), sample.pair_ids, tol=tol
+    )
 
 
 def schedule_from_gamma_bar_gaps(

@@ -2,17 +2,15 @@
 
 A study is a collection of pairs matched on observed covariates, where the
 two units of a pair received different doses of the treatment.  Within each
-pair the units are stored dose-ordered (``z_lo < z_hi`` strictly); the
-original unit labels are kept so files round-trip, and ``orientation``
-records which original unit received the higher dose.
+pair the units are stored dose-ordered (``z_lo < z_hi`` strictly), one
+column per field; the original unit labels are kept so files round-trip.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,150 +20,142 @@ REQUIRED_COLUMNS = ("pair_id", "unit_id", "z", "y")
 COVARIATE_PREFIX = "x_"
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DataError(f"{name} must be finite, got {value!r}")
-    return value
+def _column(values, shape) -> np.ndarray:
+    arr = np.array(values, dtype=float).reshape(shape)
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
-class MatchedPair:
-    """One matched pair, dose-ordered.
+def _raise_first(checks) -> None:
+    """Raise the error of the first pair that fails any check.
 
-    ``unit_of_lo`` / ``unit_of_hi`` are the original unit labels;
-    ``orientation`` is 1 when the label-sorted first unit received the
-    higher dose and 2 otherwise, so it is determined by the doses alone and
-    is unaffected by the order the two units were supplied in.
+    ``checks`` holds ``(bad, message)`` pairs, a boolean mask over pairs and
+    a function of the pair index, in the order one pair is checked; so the
+    error is the one a pair-by-pair check would raise first.
+    """
+    bad = np.array([mask for mask, _ in checks])
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        i = int(failing[0])
+        raise DataError(checks[int(np.argmax(bad[:, i]))][1](i))
+
+
+def _finite(name, col):
+    return ~np.isfinite(col), lambda i: f"{name} must be finite, got {float(col[i])!r}"
+
+
+class MatchedSample:
+    """Matched pairs held as frozen columns, dose-ordered within each pair.
+
+    Pair ``i`` has id ``pair_ids[i]``; its lower-dose unit is labelled
+    ``unit_lo[i]`` and has dose ``z_lo()[i]``, outcome ``y_of_lo()[i]`` and
+    covariate row ``x_lo[i]``, and likewise for the higher-dose unit.  Ids and
+    labels are stored as strings; every check runs over whole columns but
+    reports the first offending pair.
     """
 
-    pair_id: str
-    z_lo: float
-    z_hi: float
-    y_of_lo: float
-    y_of_hi: float
-    x_of_lo: tuple = ()
-    x_of_hi: tuple = ()
-    unit_of_lo: str = "2"
-    unit_of_hi: str = "1"
-
-    def __post_init__(self):
-        for name in ("z_lo", "z_hi", "y_of_lo", "y_of_hi"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        object.__setattr__(self, "x_of_lo", tuple(float(v) for v in self.x_of_lo))
-        object.__setattr__(self, "x_of_hi", tuple(float(v) for v in self.x_of_hi))
-        if self.z_lo == self.z_hi:
-            raise DataError(f"pair {self.pair_id!r}: tied doses ({self.z_lo})")
-        if self.z_lo > self.z_hi:
-            raise DataError(f"pair {self.pair_id!r}: z_lo must be < z_hi")
-        if len(self.x_of_lo) != len(self.x_of_hi):
-            raise DataError(f"pair {self.pair_id!r}: covariate length mismatch")
-
-    @property
-    def orientation(self) -> int:
-        first = min(str(self.unit_of_lo), str(self.unit_of_hi))
-        return 1 if first == str(self.unit_of_hi) else 2
-
-    @classmethod
-    def from_units(cls, pair_id, unit_a, unit_b) -> "MatchedPair":
-        """Build from two ``(unit_id, z, y, x_tuple)`` records in any order."""
-        a_id, a_z, a_y, a_x = unit_a
-        b_id, b_z, b_y, b_x = unit_b
-        if str(a_id) == str(b_id):
-            raise DataError(f"pair {pair_id!r}: duplicate unit id {a_id!r}")
-        if float(a_z) == float(b_z):
-            raise DataError(f"pair {pair_id!r}: tied doses ({a_z})")
-        lo, hi = (unit_a, unit_b) if float(a_z) < float(b_z) else (unit_b, unit_a)
-        return cls(
-            pair_id=str(pair_id),
-            z_lo=lo[1],
-            z_hi=hi[1],
-            y_of_lo=lo[2],
-            y_of_hi=hi[2],
-            x_of_lo=tuple(lo[3]),
-            x_of_hi=tuple(hi[3]),
-            unit_of_lo=str(lo[0]),
-            unit_of_hi=str(hi[0]),
-        )
-
-
-@dataclass(frozen=True)
-class MatchedSample:
-    """An ordered collection of matched pairs with unique pair ids."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.pairs:
+    def __init__(self, pair_ids, unit_lo, unit_hi, z_lo, z_hi, y_lo, y_hi, x_lo=(), x_hi=()):
+        n = len(pair_ids)
+        if n == 0:
             raise DataError("a matched sample needs at least one pair")
-        seen = set()
-        widths = set()
-        for pair in self.pairs:
-            if pair.pair_id in seen:
-                raise DataError(f"duplicate pair id {pair.pair_id!r}")
-            seen.add(pair.pair_id)
-            widths.add(len(pair.x_of_hi))
-        if len(widths) > 1:
-            raise DataError("pairs disagree on the number of covariates")
+        self._z_lo, self._z_hi, self._y_lo, self._y_hi = (
+            _column(v, n) for v in (z_lo, z_hi, y_lo, y_hi)
+        )
+        self.x_lo, self.x_hi = (_column(x, (n, -1)) for x in (x_lo, x_hi))
+        labels_lo = np.array(unit_lo, dtype=str)
+        labels_hi = np.array(unit_hi, dtype=str)
+
+        _raise_first([
+            (labels_lo == labels_hi,
+             lambda i: f"pair {pair_ids[i]!r}: duplicate unit id {unit_lo[i]!r}"),
+            (self._z_lo == self._z_hi,
+             lambda i: f"pair {pair_ids[i]!r}: tied doses ({float(self._z_hi[i])})"),
+            _finite("z_lo", self._z_lo),
+            _finite("z_hi", self._z_hi),
+            _finite("y_of_lo", self._y_lo),
+            _finite("y_of_hi", self._y_hi),
+            (self._z_lo > self._z_hi, lambda i: f"pair {pair_ids[i]!r}: z_lo must be < z_hi"),
+            (np.full(n, self.x_lo.shape != self.x_hi.shape),
+             lambda i: f"pair {pair_ids[i]!r}: covariate length mismatch"),
+        ])
+        self.pair_ids = tuple(map(str, pair_ids))
+        if len(set(self.pair_ids)) != n:
+            is_first = np.zeros(n, dtype=bool)
+            is_first[np.unique(self.pair_ids, return_index=True)[1]] = True
+            raise DataError(f"duplicate pair id {self.pair_ids[np.argmin(is_first)]!r}")
+        self.unit_lo = tuple(labels_lo.tolist())
+        self.unit_hi = tuple(labels_hi.tolist())
+
+    def _with_y_hi(self, y_hi) -> "MatchedSample":
+        """The same pairs with new higher-dose outcomes (checked finite)."""
+        y_hi = _column(y_hi, self.n_pairs)
+        _raise_first([_finite("y_of_hi", y_hi)])
+        out = copy.copy(self)
+        out._y_hi = y_hi
+        return out
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
+        return len(self.pair_ids)
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        return len(self.pair_ids)
 
     @property
     def n_covariates(self) -> int:
-        return len(self.pairs[0].x_of_hi)
-
-    @property
-    def pair_ids(self) -> tuple:
-        return tuple(p.pair_id for p in self.pairs)
+        return self.x_hi.shape[1]
 
     def z_lo(self) -> np.ndarray:
-        return np.array([p.z_lo for p in self.pairs])
+        return self._z_lo
 
     def z_hi(self) -> np.ndarray:
-        return np.array([p.z_hi for p in self.pairs])
+        return self._z_hi
 
     def y_of_lo(self) -> np.ndarray:
-        return np.array([p.y_of_lo for p in self.pairs])
+        return self._y_lo
 
     def y_of_hi(self) -> np.ndarray:
-        return np.array([p.y_of_hi for p in self.pairs])
+        return self._y_hi
 
     def dose_diff(self) -> np.ndarray:
         """z_hi - z_lo, strictly positive."""
-        return self.z_hi() - self.z_lo()
+        return self._z_hi - self._z_lo
 
     def outcome_diff(self) -> np.ndarray:
         """y_hi - y_lo (higher-dose minus lower-dose outcome)."""
-        return self.y_of_hi() - self.y_of_lo()
+        return self._y_hi - self._y_lo
+
+
+def _from_units(pair_ids, labels, z, y, x) -> MatchedSample:
+    """Dose-order pairs given unit by unit in label order.
+
+    ``labels``, ``z`` and ``y`` are (n, 2) arrays and ``x`` is (n, 2, k);
+    column 0 holds the unit whose label sorts first.  That unit becomes the
+    low unit only when its dose is strictly lower, so on a tied or NaN dose
+    it is the high unit, which fixes the unit a failed check names.
+    """
+    rows = np.arange(len(pair_ids))
+    hi = (z[:, 0] < z[:, 1]).astype(int)
+    lo = 1 - hi
+    return MatchedSample(
+        pair_ids, labels[rows, lo].tolist(), labels[rows, hi].tolist(),
+        z[rows, lo], z[rows, hi], y[rows, lo], y[rows, hi], x[rows, lo], x[rows, hi],
+    )
 
 
 def sample_from_arrays(z1, z2, y1, y2, pair_ids=None) -> MatchedSample:
-    """Assemble a sample from parallel per-unit arrays (units in given order)."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
+    """Assemble a sample from parallel per-unit arrays (units labelled 1 and 2)."""
+    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in (z1, z2, y1, y2))
     if not (z1.shape == z2.shape == y1.shape == y2.shape):
         raise DataError("z1, z2, y1, y2 must have identical shapes")
     n = z1.size
     if pair_ids is None:
-        pair_ids = [str(i + 1) for i in range(n)]
-    pairs = [
-        MatchedPair.from_units(
-            pair_ids[i], ("1", z1[i], y1[i], ()), ("2", z2[i], y2[i], ())
-        )
-        for i in range(n)
-    ]
-    return MatchedSample(tuple(pairs))
+        pair_ids = np.arange(1, n + 1).astype(str).tolist()
+    labels = np.tile(np.array(["1", "2"], dtype=object), (n, 1))
+    return _from_units(
+        pair_ids, labels, np.column_stack([z1, z2]), np.column_stack([y1, y2]),
+        np.empty((n, 2, 0)),
+    )
 
 
 # -------------------------------------------------------------- dose link --
@@ -289,8 +279,7 @@ class EffectModel:
                     f"modifier_index {k} out of range for "
                     f"{sample.n_covariates} covariates"
                 )
-            x = np.array([p.x_of_hi[k] for p in sample])
-            return (self.beta[0] + self.beta[1] * x) * d
+            return (self.beta[0] + self.beta[1] * sample.x_hi[:, k]) * d
         # kink
         b1, b2, bend = self.beta
         z0 = self.z0 if self.z0 is not None else float(sample.z_lo().min())
@@ -315,12 +304,7 @@ def adjust_outcomes(sample: MatchedSample, model: EffectModel) -> MatchedSample:
     treatment effect, so downstream tests behave as under a null of no
     effect.
     """
-    offsets = model.offsets(sample)
-    pairs = [
-        replace(pair, y_of_hi=pair.y_of_hi - float(off))
-        for pair, off in zip(sample, offsets)
-    ]
-    return MatchedSample(tuple(pairs))
+    return sample._with_y_hi(sample.y_of_hi() - model.offsets(sample))
 
 
 # -------------------------------------------------------------------- csv --
@@ -355,28 +339,44 @@ def read_csv(path) -> MatchedSample:
                 by_pair[pid] = []
                 order.append(pid)
             by_pair[pid].append((row["unit_id"], z, y, x))
-    pairs = []
-    for pid in order:
+    labels, z, y, x = [], [], [], []
+
+    def assemble(ids):
+        n = len(ids)
+        return _from_units(
+            ids,
+            np.array(labels, dtype=object).reshape(n, 2),
+            np.array(z).reshape(n, 2),
+            np.array(y).reshape(n, 2),
+            np.array(x, dtype=float).reshape(n, 2, len(x_cols)),
+        )
+
+    for k, pid in enumerate(order):
         units = by_pair[pid]
         if len(units) != 2:
+            if k:  # a fault of an earlier pair is reported first
+                assemble(order[:k])
             raise DataError(f"pair {pid!r} has {len(units)} rows, expected 2")
         # canonicalize by unit label so row order in the file is irrelevant
-        units = sorted(units, key=lambda u: str(u[0]))
-        pairs.append(MatchedPair.from_units(pid, units[0], units[1]))
-    return MatchedSample(tuple(pairs))
+        a, b = sorted(units, key=lambda u: str(u[0]))
+        labels.append((a[0], b[0]))
+        z.append((a[1], b[1]))
+        y.append((a[2], b[2]))
+        x.append((a[3], b[3]))
+    return assemble(order)
 
 
 def write_csv(sample: MatchedSample, path) -> None:
     """Write a sample back to the ingestion schema (numeric fields via repr,
     so a read/write/read cycle reproduces the floats bit for bit)."""
     x_cols = [f"x_{i + 1}" for i in range(sample.n_covariates)]
+    units = zip(
+        zip(sample.unit_lo, sample.z_lo().tolist(), sample.y_of_lo().tolist(), sample.x_lo.tolist()),
+        zip(sample.unit_hi, sample.z_hi().tolist(), sample.y_of_hi().tolist(), sample.x_hi.tolist()),
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*REQUIRED_COLUMNS, *x_cols])
-        for pair in sample:
-            rows = [
-                (pair.unit_of_lo, pair.z_lo, pair.y_of_lo, pair.x_of_lo),
-                (pair.unit_of_hi, pair.z_hi, pair.y_of_hi, pair.x_of_hi),
-            ]
-            for unit_id, z, y, x in sorted(rows, key=lambda r: str(r[0])):
-                writer.writerow([pair.pair_id, unit_id, repr(z), repr(y), *map(repr, x)])
+        for pair_id, rows in zip(sample.pair_ids, units):
+            for unit_id, z, y, x in sorted(rows, key=lambda r: r[0]):
+                writer.writerow([pair_id, unit_id, *map(repr, (z, y, *x))])

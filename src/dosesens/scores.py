@@ -20,19 +20,28 @@ mid-ranks for ties by default):
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, DataError
 from .pairs import MatchedSample
 
 KINDS = ("mcnemar", "wilcoxon", "dose-weighted-abs", "double-rank", "general")
 _KIND_ALIASES = {"dose-weighted-rank": "double-rank"}
-ENUMERATION_LIMIT = 25
+
+
+def rank(values, ties: str = "average") -> np.ndarray:
+    """Ranks 1..n of a 1-d array; a block of tied values shares the mean
+    (``"average"``) or the largest (``"max"``) of the ranks it spans.
+
+    Ranks are integers or half-integers, exact in float64.
+    """
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    top = np.cumsum(counts)
+    shared = top if ties == "max" else top - 0.5 * (counts - 1)
+    return shared[inverse].astype(float)
 
 
 def rank_abs(values, ties: str = "midrank") -> np.ndarray:
@@ -43,7 +52,7 @@ def rank_abs(values, ties: str = "midrank") -> np.ndarray:
             raise DataError("tied absolute differences under ties='strict'")
     elif ties != "midrank":
         raise ConfigError(f"unknown tie rule {ties!r}")
-    return stats.rankdata(values, method="average")
+    return rank(values)
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,6 @@ class ScoredSample:
     def n_pairs(self) -> int:
         return int(self.q.size)
 
-    @property
-    def max_statistic(self) -> float:
-        return float(self.q.sum())
-
 
 def _compute_scores(spec, abs_dose_diff, rank_z, rank_y):
     if spec.kind == "mcnemar":
@@ -113,10 +118,7 @@ def _compute_scores(spec, abs_dose_diff, rank_z, rank_y):
 
 def score_from_arrays(z1, z2, y1, y2, spec: ScoreSpec, pair_ids=None) -> ScoredSample:
     """Score pairs given as parallel per-unit arrays."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
+    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in (z1, z2, y1, y2))
     dose_diff = z1 - z2
     outcome_diff = y1 - y2
     if np.any(dose_diff == 0):
@@ -159,35 +161,6 @@ def score(sample: MatchedSample, spec: ScoreSpec) -> ScoredSample:
         spec,
         pair_ids=sample.pair_ids,
     )
-
-
-def exact_randomization_pvalue(scored: ScoredSample, side: str = "greater") -> float:
-    """Exact permutation p-value under equiprobable within-pair assignments.
-
-    Enumerates all sign patterns of the pairs with a nonzero outcome
-    difference (pairs with a zero difference contribute nothing either way).
-    Limited to samples small enough to enumerate.
-    """
-    if side != "greater":
-        raise ConfigError("only side='greater' is enumerated")
-    active = ~scored.zero_diff
-    m = int(np.count_nonzero(active))
-    if m > ENUMERATION_LIMIT:
-        raise DataError(
-            f"exact enumeration limited to {ENUMERATION_LIMIT} active pairs, got {m}"
-        )
-    q = scored.q[active]
-    t = scored.t_obs
-    slack = 1e-9 * (1.0 + abs(t))
-    total = 1 << m
-    hits = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        bits = (codes[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
-        sums = bits.astype(float) @ q
-        hits += int(np.count_nonzero(sums >= t - slack))
-    return hits / total
 
 
 # ------------------------------------------------- phi expression parsing --

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import tails
 from .errors import ConfigError, DataError, SolverError
-from .gammas import GammaSchedule, schedule_from_gamma_bar_gaps
-from .pairs import DoseLink, EffectModel, MatchedSample, adjust_outcomes, link_gaps
+from .gammas import GammaSchedule, build_schedule
+from .pairs import DoseLink, EffectModel, MatchedSample, adjust_outcomes
 from .scores import ScoredSample, ScoreSpec, score
 
 METHODS = ("auto", "exact", "monte-carlo", "normal")
@@ -60,12 +61,6 @@ class BoundingDistribution:
     def variance(self) -> float:
         return float((self.q**2) @ (self.p_success * (1.0 - self.p_success)))
 
-    def exact_upper_tail(self, t: float) -> float:
-        return tails.exact_upper_tail(self.q, self.p_success, t)
-
-    def exact_lower_tail(self, t: float) -> float:
-        return tails.exact_lower_tail(self.q, self.p_success, t)
-
     def _zscore(self, t: float) -> float:
         var = self.variance
         if var == 0.0:
@@ -81,14 +76,6 @@ class BoundingDistribution:
 
     def normal_lower_tail(self, t: float) -> float:
         return float(tails.normal_sf(-self._zscore(t)))
-
-
-def bounding_distribution(
-    scored: ScoredSample, schedule: GammaSchedule
-) -> BoundingDistribution:
-    """Greater-side bound for a scored sample under a bias schedule."""
-    _check_alignment(scored, schedule)
-    return BoundingDistribution(q=scored.q, p_success=schedule.p_plus)
 
 
 def _check_alignment(scored: ScoredSample, schedule: GammaSchedule) -> None:
@@ -306,8 +293,6 @@ def confidence_region(
     """
     if not 0 < alpha < 1:
         raise ConfigError("alpha must be in (0, 1)")
-    from .gammas import build_schedule  # local import to avoid cycle at load
-
     schedule = build_schedule(
         sample, link=link, gamma=gamma, gamma_bar=gamma_bar, gamma_i=gamma_i
     )
@@ -334,13 +319,17 @@ def confidence_region(
         non_contiguous = len(runs) > 1
         interval = None
         if len(beta_grid[0]) == 1 and len(runs) == 1:
-            lo = beta_grid[runs[0][0]][0]
-            hi = beta_grid[runs[0][1]][0]
             span = beta_grid[-1][0] - beta_grid[0][0]
             tol = endpoint_tol if endpoint_tol is not None else 1e-6 * max(span, 1.0)
-            lo = _refine_endpoint(p_of, alpha, lo, beta_grid, runs[0][0], -1, tol)
-            hi = _refine_endpoint(p_of, alpha, hi, beta_grid, runs[0][1], +1, tol)
-            interval = (lo, hi)
+
+            def refine(i, step):
+                # bisect towards the rejected neighbour; at the grid edge
+                # the region keeps the grid point
+                if not 0 <= i + step < len(beta_grid):
+                    return beta_grid[i][0]
+                return _bisect(p_of, alpha, beta_grid[i][0], beta_grid[i + step][0], tol)
+
+            interval = (refine(runs[0][0], -1), refine(runs[0][1], +1))
         return ConfidenceRegion(
             alpha=alpha,
             model_kind=model_kind,
@@ -359,12 +348,8 @@ def confidence_region(
     return _bisect_interval(sample, p_of, alpha, schedule, method, endpoint_tol)
 
 
-def _refine_endpoint(p_of, alpha, value, beta_grid, run_idx, direction, tol):
-    """Bisect between a boundary grid point and its rejected neighbor."""
-    neighbor_idx = run_idx + direction
-    if neighbor_idx < 0 or neighbor_idx >= len(beta_grid):
-        return value  # region touches the grid edge; keep the grid point
-    acc, rej = value, beta_grid[neighbor_idx][0]
+def _bisect(p_of, alpha, acc, rej, tol):
+    """Bisect between an accepted and a rejected effect value."""
     while abs(rej - acc) > tol:
         mid = 0.5 * (acc + rej)
         if p_of((mid,)) > alpha:
@@ -376,6 +361,10 @@ def _refine_endpoint(p_of, alpha, value, beta_grid, run_idx, direction, tol):
 
 def _bisect_interval(sample, p_of, alpha, schedule, method, endpoint_tol):
     """Bracket-and-bisect both endpoints of a 1-d acceptance interval."""
+    region = partial(
+        ConfidenceRegion, alpha=alpha, model_kind="constant",
+        gamma_bar=schedule.gamma_bar, search="bisect", method=method,
+    )
     dose_diff = sample.dose_diff()
     outcome_diff = sample.outcome_diff()
     center = float((outcome_diff @ dose_diff) / (dose_diff @ dose_diff))
@@ -387,17 +376,9 @@ def _bisect_interval(sample, p_of, alpha, schedule, method, endpoint_tol):
         candidates = [center + k * step * s for k in (0.25, 0.5, 1, 2, 4) for s in (-1, 1)]
         accepted_at = next((b for b in candidates if p_of((b,)) > alpha), None)
         if accepted_at is None:
-            return ConfidenceRegion(
-                alpha=alpha,
-                model_kind="constant",
-                gamma_bar=schedule.gamma_bar,
-                beta_grid=((center,),),
-                accepted=(False,),
-                p_values=(p_of((center,)),),
-                interval=None,
-                non_contiguous=False,
-                search="bisect",
-                method=method,
+            return region(
+                beta_grid=((center,),), accepted=(False,), p_values=(p_of((center,)),),
+                interval=None, non_contiguous=False,
             )
         center = accepted_at
 
@@ -424,39 +405,17 @@ def _bisect_interval(sample, p_of, alpha, schedule, method, endpoint_tol):
     probe_grid = np.linspace(lo_out, hi_out, 41)
     probe_accept = [p_of((b,)) > alpha for b in probe_grid]
     if len(_runs(probe_accept)) > 1:
-        return ConfidenceRegion(
-            alpha=alpha,
-            model_kind="constant",
-            gamma_bar=schedule.gamma_bar,
+        return region(
             beta_grid=tuple((float(b),) for b in probe_grid),
             accepted=tuple(probe_accept),
             p_values=tuple(p_of((b,)) for b in probe_grid),
             interval=None,
             non_contiguous=True,
-            search="bisect",
-            method=method,
         )
 
-    def bisect(acc, rej):
-        while abs(rej - acc) > tol:
-            mid = 0.5 * (acc + rej)
-            if p_of((mid,)) > alpha:
-                acc = mid
-            else:
-                rej = mid
-        return acc
-
-    lo = bisect(lo_in, lo_out)
-    hi = bisect(hi_in, hi_out)
-    return ConfidenceRegion(
-        alpha=alpha,
-        model_kind="constant",
-        gamma_bar=schedule.gamma_bar,
-        beta_grid=((lo,), (hi,)),
-        accepted=(True, True),
-        p_values=(p_of((lo,)), p_of((hi,))),
-        interval=(lo, hi),
-        non_contiguous=False,
-        search="bisect",
-        method=method,
+    lo = _bisect(p_of, alpha, lo_in, lo_out, tol)
+    hi = _bisect(p_of, alpha, hi_in, hi_out, tol)
+    return region(
+        beta_grid=((lo,), (hi,)), accepted=(True, True), p_values=(p_of((lo,)), p_of((hi,))),
+        interval=(lo, hi), non_contiguous=False,
     )

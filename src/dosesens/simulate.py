@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .pairs import sample_from_arrays
 from .rngs import STREAM_COVERAGE, STREAM_POWER, child_rng, child_seed_sequence
 from .scores import ScoreSpec, score_from_arrays
 from .sharp import BoundingDistribution, worst_case_pvalue
-from .weaknull import SolverConfig, WeakNullProblem, worst_case_zscore
+from .tails import binomial_se
+from .weaknull import SolverConfig, WeakNullProblem, two_sided_pvalue
 
 CHUNK_REPS = 32
 
@@ -34,25 +35,25 @@ def _mc_seed(seed: int, rep: int) -> int:
     return int(child_seed_sequence(seed, STREAM_POWER, rep, 1).generate_state(1)[0])
 
 
-def _power_rep(dgp, n_pairs, gamma_bar, spec, alpha, method, mc_reps, seed, rep):
-    rng = child_rng(seed, STREAM_POWER, rep)
-    z1, z2, y1, y2 = dgp.sample_pairs(rng, n_pairs)
+def _scored_rep(dgp, n_pairs, spec, seed, rep):
+    """Replicate ``rep``'s draw, scored, and its transformed dose gaps."""
+    z1, z2, y1, y2 = dgp.sample_pairs(child_rng(seed, STREAM_POWER, rep), n_pairs)
     scored = score_from_arrays(z1, z2, y1, y2, spec)
-    gaps = np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
-    schedule = schedule_from_gamma_bar_gaps(gamma_bar, gaps)
-    report = worst_case_pvalue(
-        scored, schedule, method=method, reps=mc_reps, seed=_mc_seed(seed, rep)
-    )
-    return report.p_one_sided_greater < alpha
+    return scored, np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
 
 
-def _power_chunk(payload) -> int:
-    dgp, n_pairs, gamma_bar, spec, alpha, method, mc_reps, seed, start, count = payload
-    hits = 0
+def _power_chunk(payload) -> list:
+    """Rejections at each grid point over one chunk of replicates."""
+    dgp, n_pairs, grid, spec, alpha, method, mc_reps, seed, start, count = payload
+    hits = [0] * len(grid)
     for rep in range(start, start + count):
-        hits += _power_rep(
-            dgp, n_pairs, gamma_bar, spec, alpha, method, mc_reps, seed, rep
-        )
+        scored, gaps = _scored_rep(dgp, n_pairs, spec, seed, rep)
+        for j, gamma_bar in enumerate(grid):
+            schedule = schedule_from_gamma_bar_gaps(gamma_bar, gaps)
+            report = worst_case_pvalue(
+                scored, schedule, method=method, reps=mc_reps, seed=_mc_seed(seed, rep)
+            )
+            hits[j] += report.p_one_sided_greater < alpha
     return hits
 
 
@@ -70,18 +71,7 @@ class PowerEstimate:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma_bar": self.gamma_bar,
-            "n_pairs": self.n_pairs,
-            "alpha": self.alpha,
-            "reps": self.reps,
-            "rejections": self.rejections,
-            "power": self.power,
-            "std_err": self.std_err,
-            "method": self.method,
-            "score_kind": self.score_kind,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def estimate_power(
@@ -101,36 +91,12 @@ def estimate_power(
     The bias schedule is recalibrated to ``gamma_bar`` on every replicate's
     own dose gaps, exactly as an analyst would do.
     """
-    if seed is None:
-        raise ConfigError("estimate_power needs a seed")
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must be in (0, 1)")
-    reps = int(reps)
-    if reps < 200:
-        raise ConfigError("power estimation needs at least 200 replicates")
-    chunks = [
-        (dgp, n_pairs, gamma_bar, spec, alpha, method, mc_reps, seed, start,
-         min(CHUNK_REPS, reps - start))
-        for start in range(0, reps, CHUNK_REPS)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_power_chunk, chunks))
-    else:
-        hits = sum(_power_chunk(c) for c in chunks)
-    power = hits / reps
-    return PowerEstimate(
-        gamma_bar=float(gamma_bar),
-        n_pairs=int(n_pairs),
-        alpha=float(alpha),
-        reps=reps,
-        rejections=int(hits),
-        power=power,
-        std_err=math.sqrt(max(power * (1.0 - power), 0.0) / reps),
-        method=method,
-        score_kind=spec.kind,
-        seed=int(seed),
+    curve = power_curve(
+        dgp, n_pairs, [gamma_bar], spec,
+        alpha=alpha, reps=reps, seed=seed, method=method,
+        mc_reps=mc_reps, workers=workers,
     )
+    return curve.estimates[0]
 
 
 @dataclass(frozen=True)
@@ -184,47 +150,47 @@ def power_curve(
     mc_reps: int = 10_000,
     workers: int = 1,
 ) -> PowerCurve:
-    """Power of the worst-case test across a grid of mean sensitivity bounds."""
-    estimates = tuple(
-        estimate_power(
-            dgp, n_pairs, gb, spec,
-            alpha=alpha, reps=reps, seed=seed, method=method,
-            mc_reps=mc_reps, workers=workers,
-        )
-        for gb in gamma_bar_grid
-    )
-    return PowerCurve(estimates=estimates, dgp=dgp.to_json_dict())
+    """Power of the worst-case test across a grid of mean sensitivity bounds.
 
-
-def empirical_crossing(
-    dgp: DgpSpec,
-    spec: ScoreSpec,
-    n_pairs_ladder,
-    gamma_bar_grid,
-    alpha: float = 0.05,
-    reps: int = 1000,
-    seed: int | None = None,
-    method: str = "normal",
-    workers: int = 1,
-) -> dict:
-    """Where the power curve crosses one half, per sample size.
-
-    Returns ``{I: {"crossing": value | None, "reason": str, "curve": ...}}``;
-    as I grows the crossings approach the design-sensitivity threshold.
+    Each replicate is drawn and scored once, then tested at every grid point.
     """
-    out = {}
-    for n_pairs in n_pairs_ladder:
-        curve = power_curve(
-            dgp, int(n_pairs), gamma_bar_grid, spec,
-            alpha=alpha, reps=reps, seed=seed, method=method, workers=workers,
+    if seed is None:
+        raise ConfigError("estimate_power needs a seed")
+    if not 0 < alpha < 1:
+        raise ConfigError("alpha must be in (0, 1)")
+    reps = int(reps)
+    if reps < 200:
+        raise ConfigError("power estimation needs at least 200 replicates")
+    grid = [float(g) for g in gamma_bar_grid]
+    chunks = [
+        (dgp, n_pairs, grid, spec, alpha, method, mc_reps, seed, start,
+         min(CHUNK_REPS, reps - start))
+        for start in range(0, reps, CHUNK_REPS)
+    ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_power_chunk, chunks))
+    else:
+        parts = [_power_chunk(c) for c in chunks]
+    hits = np.sum(parts, axis=0, dtype=int)
+    estimates = []
+    for gamma_bar, rejections in zip(grid, hits):
+        power = int(rejections) / reps
+        estimates.append(
+            PowerEstimate(
+                gamma_bar=gamma_bar,
+                n_pairs=int(n_pairs),
+                alpha=float(alpha),
+                reps=reps,
+                rejections=int(rejections),
+                power=power,
+                std_err=binomial_se(power, reps),
+                method=method,
+                score_kind=spec.kind,
+                seed=int(seed),
+            )
         )
-        value, reason = curve.crossing(0.5)
-        out[int(n_pairs)] = {
-            "crossing": value,
-            "reason": reason,
-            "curve": curve.to_json_dict(),
-        }
-    return out
+    return PowerCurve(estimates=tuple(estimates), dgp=dgp.to_json_dict())
 
 
 # -------------------------------------------------------- empirical slope --
@@ -234,10 +200,7 @@ def _slope_chunk(payload):
     dgp, n_pairs, gamma_bar, spec, seed, start, count = payload
     out = []
     for rep in range(start, start + count):
-        rng = child_rng(seed, STREAM_POWER, rep)
-        z1, z2, y1, y2 = dgp.sample_pairs(rng, n_pairs)
-        scored = score_from_arrays(z1, z2, y1, y2, spec)
-        gaps = np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
+        scored, gaps = _scored_rep(dgp, n_pairs, spec, seed, rep)
         schedule = schedule_from_gamma_bar_gaps(gamma_bar, gaps)
         upper = BoundingDistribution(q=scored.q, p_success=schedule.p_plus)
         # log tail directly: at thousands of pairs the p-value itself
@@ -257,14 +220,7 @@ class SlopeEstimate:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma_bar": self.gamma_bar,
-            "n_pairs": self.n_pairs,
-            "reps": self.reps,
-            "rate": self.rate,
-            "std_err": self.std_err,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def empirical_slope(
@@ -319,18 +275,7 @@ class CoverageResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "truth": self.truth,
-            "n_pairs": self.n_pairs,
-            "reps": self.reps,
-            "covered": self.covered,
-            "coverage": self.coverage,
-            "std_err": self.std_err,
-            "alpha": self.alpha,
-            "gamma_bar": self.gamma_bar,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _coverage_result(target, truth, n_pairs, reps, covered, alpha, gamma_bar, seed):
@@ -342,7 +287,7 @@ def _coverage_result(target, truth, n_pairs, reps, covered, alpha, gamma_bar, se
         reps=int(reps),
         covered=int(covered),
         coverage=coverage,
-        std_err=math.sqrt(max(coverage * (1.0 - coverage), 0.0) / reps),
+        std_err=binomial_se(coverage, reps),
         alpha=float(alpha),
         gamma_bar=float(gamma_bar),
         seed=int(seed),
@@ -438,17 +383,7 @@ def weak_coverage(
         )
         schedule = schedule_from_gamma_bar_gaps(gamma_bar, gap)
         prob = WeakNullProblem.from_sample(sample, schedule, lam_star)
-        hi = worst_case_zscore(prob, config)
-        lo = worst_case_zscore(
-            WeakNullProblem(
-                lambda0=lam_star,
-                tau1=-prob.tau1,
-                gamma_i=prob.gamma_i,
-                pair_ids=prob.pair_ids,
-            ),
-            config,
-        )
-        p_two = min(1.0, 2.0 * min(hi.p_value_upper, lo.p_value_upper))
+        p_two, _ = two_sided_pvalue(prob, config)
         covered += p_two > alpha
     return _coverage_result(
         "weak-lambda", slope_mean, n_pairs, reps, covered, alpha, gamma_bar, seed

@@ -105,6 +105,22 @@ def _check_reps(reps: int) -> int:
     return reps
 
 
+def binomial_se(share: float, reps: int) -> float:
+    """Standard error of a share estimated from ``reps`` independent draws."""
+    return math.sqrt(share * (1.0 - share) / reps)
+
+
+def uniform_chunks(reps: int, width: int, seed: int, *stream: int):
+    """``reps`` rows of ``width`` U(0, 1) draws, in blocks of ``MC_CHUNK`` rows.
+
+    Block ``c`` comes from ``child_rng(seed, *stream, c)``, so each estimate
+    depends only on the seed, the stream and the number of replicates.
+    """
+    for chunk_idx, start in enumerate(range(0, reps, MC_CHUNK)):
+        rng = child_rng(seed, *stream, chunk_idx)
+        yield rng.random((min(MC_CHUNK, reps - start), width))
+
+
 def mc_tails(
     q: np.ndarray,
     p_plus: np.ndarray,
@@ -125,19 +141,11 @@ def mc_tails(
     """
     reps = _check_reps(reps)
     slack = comparison_slack(t)
-    n_pairs = q.size
     hits_upper = 0
     hits_lower = 0
-    for chunk_idx, start in enumerate(range(0, reps, MC_CHUNK)):
-        n = min(MC_CHUNK, reps - start)
-        rng = child_rng(seed, STREAM_MC_TAIL, *stream, chunk_idx)
-        u = rng.random((n, n_pairs))
-        sums_hi = (u < p_plus) @ q
-        sums_lo = (u < p_minus) @ q
-        hits_upper += int(np.count_nonzero(sums_hi >= t - slack))
-        hits_lower += int(np.count_nonzero(sums_lo <= t + slack))
+    for u in uniform_chunks(reps, q.size, seed, STREAM_MC_TAIL, *stream):
+        hits_upper += int(np.count_nonzero((u < p_plus) @ q >= t - slack))
+        hits_lower += int(np.count_nonzero((u < p_minus) @ q <= t + slack))
     upper = hits_upper / reps
     lower = hits_lower / reps
-    se_upper = math.sqrt(upper * (1.0 - upper) / reps)
-    se_lower = math.sqrt(lower * (1.0 - lower) / reps)
-    return upper, lower, se_upper, se_lower
+    return upper, lower, binomial_se(upper, reps), binomial_se(lower, reps)

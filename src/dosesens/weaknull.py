@@ -42,6 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,8 @@ from . import qclp, tails
 from .errors import ConfigError, DataError
 from .gammas import GammaSchedule
 from .pairs import MatchedSample
-from .rngs import STREAM_WEAK_TAIL, child_rng
+from .rngs import STREAM_WEAK_TAIL
+from .sharp import _runs
 
 OBJECTIVES = ("printed", "expectation")
 
@@ -377,6 +379,10 @@ class _Search:
 
     def _finish(self, status: str, heap) -> WeakNullSolution:
         prob = self.problem
+        solution = partial(
+            WeakNullSolution, lambda0=prob.lambda0, objective=self.config.objective,
+            node_count=self.node_count, denom=self.denom, epsilon=prob.epsilon, problem=prob,
+        )
         candidates = [b for b, *_ in heap]
         if self.incumbent < math.inf:
             candidates.append(self.incumbent)
@@ -384,20 +390,9 @@ class _Search:
             # feasible root relaxation but every leaf infeasible
             status = "infeasible"
         if status == "infeasible":
-            return WeakNullSolution(
-                lambda0=prob.lambda0,
-                objective=self.config.objective,
-                status="infeasible",
-                optimum=None,
-                bound=math.inf,
-                gap=0.0,
-                node_count=self.node_count,
-                w=None,
-                tau2=None,
-                p_value_upper=0.0,
-                denom=self.denom,
-                epsilon=prob.epsilon,
-                problem=prob,
+            return solution(
+                status="infeasible", optimum=None, bound=math.inf, gap=0.0,
+                w=None, tau2=None, p_value_upper=0.0,
             )
         certified = min(candidates)
         if self.incumbent == math.inf:
@@ -405,20 +400,14 @@ class _Search:
             gap = math.inf
         else:
             gap = max(0.0, self.incumbent - certified)
-        return WeakNullSolution(
-            lambda0=prob.lambda0,
-            objective=self.config.objective,
+        return solution(
             status=status,
             optimum=None if self.incumbent == math.inf else float(self.incumbent),
             bound=float(certified),
             gap=gap,
-            node_count=self.node_count,
             w=None if self.best_w is None else tuple(int(v) for v in self.best_w),
             tau2=None if self.best_x is None else tuple(float(v) for v in self.best_x),
             p_value_upper=float(tails.normal_sf(certified)),
-            denom=self.denom,
-            epsilon=prob.epsilon,
-            problem=prob,
         )
 
 
@@ -445,6 +434,17 @@ def worst_case_zscore(
             p_value_upper=float(tails.normal_sf(exact)),
         )
     return sol
+
+
+def two_sided_pvalue(problem: WeakNullProblem, config: SolverConfig) -> tuple:
+    """Doubled smaller one-sided p-value bound, capped at 1.
+
+    The less side solves the sign-reflected problem.  Returns ``(p, (greater,
+    less))`` with the two solutions.
+    """
+    greater = worst_case_zscore(problem, config)
+    less = worst_case_zscore(replace(problem, tau1=-problem.tau1), config)
+    return min(1.0, 2.0 * min(greater.p_value_upper, less.p_value_upper)), (greater, less)
 
 
 # ---------------------------------------------------------------- region --
@@ -513,34 +513,15 @@ def weak_null_ci(
             p_values.append(1.0)
             statuses.append("degenerate")
             continue
-        hi = worst_case_zscore(prob, base)
-        lo = worst_case_zscore(
-            WeakNullProblem(
-                lambda0=lam,
-                tau1=-prob.tau1,
-                gamma_i=prob.gamma_i,
-                pair_ids=prob.pair_ids,
-            ),
-            base,
-        )
-        p_two = min(1.0, 2.0 * min(hi.p_value_upper, lo.p_value_upper))
+        p_two, sides = two_sided_pvalue(prob, base)
         accepted.append(p_two > alpha)
         p_values.append(p_two)
         worst = "optimal"
-        for sol in (hi, lo):
+        for sol in sides:
             if sol.status != "optimal":
                 worst = sol.status
         statuses.append(worst)
-    runs = []
-    start = None
-    for i, flag in enumerate(accepted):
-        if flag and start is None:
-            start = i
-        if not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(accepted) - 1))
+    runs = _runs(accepted)
     interval = (grid[runs[0][0]], grid[runs[0][1]]) if len(runs) == 1 else None
     return WeakNullRegion(
         alpha=alpha,
@@ -569,9 +550,7 @@ def bounding_tail(
     """
     if seed is None:
         raise ConfigError("bounding_tail needs a seed")
-    reps = int(reps)
-    if reps < tails.MIN_MC_REPS:
-        raise ConfigError(f"reps must be >= {tails.MIN_MC_REPS}")
+    reps = tails._check_reps(reps)
     tau1 = np.asarray(tau1, dtype=float)
     tau2 = np.asarray(tau2, dtype=float)
     gamma_i = np.asarray(gamma_i, dtype=float)
@@ -580,13 +559,9 @@ def bounding_tail(
     hi = np.maximum(tau1, tau2)
     lo = np.minimum(tau1, tau2)
     p_plus = gamma_i / (1.0 + gamma_i)
-    n = tau1.size
     slack = tails.comparison_slack(t)
     hits = 0
-    for chunk_idx, start in enumerate(range(0, reps, tails.MC_CHUNK)):
-        m = min(tails.MC_CHUNK, reps - start)
-        rng = child_rng(seed, STREAM_WEAK_TAIL, chunk_idx)
-        picks = np.where(rng.random((m, n)) < p_plus, hi, lo)
-        hits += int(np.count_nonzero(picks.mean(axis=1) >= t - slack))
+    for u in tails.uniform_chunks(reps, tau1.size, seed, STREAM_WEAK_TAIL):
+        hits += int(np.count_nonzero(np.where(u < p_plus, hi, lo).mean(axis=1) >= t - slack))
     estimate = hits / reps
-    return estimate, math.sqrt(max(estimate * (1.0 - estimate), 0.0) / reps)
+    return estimate, tails.binomial_se(estimate, reps)

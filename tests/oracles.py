@@ -1,8 +1,9 @@
-"""Independent reference solvers used to validate the optimization code.
+"""Independent reference implementations used to validate the package.
 
-These deliberately use a different algorithm (scipy's SLSQP with exhaustive
-enumeration of the binary pattern) from the production branch-and-bound, so
-agreement is meaningful.
+These deliberately use different algorithms from the production code (sign
+pattern enumeration instead of convolution; scipy's SLSQP with exhaustive
+enumeration of the binary pattern instead of branch-and-bound), so agreement
+is meaningful.
 """
 
 import itertools
@@ -10,6 +11,72 @@ import warnings
 
 import numpy as np
 from scipy import optimize
+
+from dosesens.errors import ConfigError, DataError
+from dosesens.simulate import power_curve
+
+ENUMERATION_LIMIT = 25
+
+
+def exact_randomization_pvalue(scored, side="greater"):
+    """Exact permutation p-value under equiprobable within-pair assignments.
+
+    Enumerates all sign patterns of the pairs with a nonzero outcome
+    difference (pairs with a zero difference contribute nothing either way).
+    Limited to samples small enough to enumerate.
+    """
+    if side != "greater":
+        raise ConfigError("only side='greater' is enumerated")
+    active = ~scored.zero_diff
+    m = int(np.count_nonzero(active))
+    if m > ENUMERATION_LIMIT:
+        raise DataError(
+            f"exact enumeration limited to {ENUMERATION_LIMIT} active pairs, got {m}"
+        )
+    q = scored.q[active]
+    t = scored.t_obs
+    slack = 1e-9 * (1.0 + abs(t))
+    total = 1 << m
+    hits = 0
+    chunk = 1 << 20
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        bits = (codes[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)
+        sums = bits.astype(float) @ q
+        hits += int(np.count_nonzero(sums >= t - slack))
+    return hits / total
+
+
+def assignment_bounds(schedule, i):
+    """(lower, upper) bounds on pair i's biased assignment probability."""
+    if not 0 <= i < schedule.n_pairs:
+        raise ConfigError(f"pair index {i} out of range")
+    g = float(schedule.gamma_i[i])
+    return 1.0 / (1.0 + g), g / (1.0 + g)
+
+
+def empirical_crossing(
+    dgp, spec, n_pairs_ladder, gamma_bar_grid, alpha=0.05, reps=1000, seed=None,
+    method="normal", workers=1,
+):
+    """Where the power curve crosses one half, per sample size.
+
+    Returns ``{I: {"crossing": value | None, "reason": str, "curve": ...}}``;
+    as I grows the crossings approach the design-sensitivity threshold.
+    """
+    out = {}
+    for n_pairs in n_pairs_ladder:
+        curve = power_curve(
+            dgp, int(n_pairs), gamma_bar_grid, spec,
+            alpha=alpha, reps=reps, seed=seed, method=method, workers=workers,
+        )
+        value, reason = curve.crossing(0.5)
+        out[int(n_pairs)] = {
+            "crossing": value,
+            "reason": reason,
+            "curve": curve.to_json_dict(),
+        }
+    return out
 
 
 def brute_force_weaknull(problem, objective="printed", starts=4, seed=0):

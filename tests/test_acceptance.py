@@ -22,13 +22,13 @@ from dosesens.asymptotics import bahadur_slope, design_sensitivity, slope_from_c
 from dosesens.dgps import DgpSpec
 from dosesens.gammas import gamma_for_mean_bound, schedule_from_gamma_bar_gaps
 from dosesens.pairs import sample_from_arrays, write_csv
-from dosesens.scores import ScoreSpec, exact_randomization_pvalue, parse_phi_expression, score, score_from_arrays
+from dosesens.scores import ScoreSpec, parse_phi_expression, score, score_from_arrays
 from dosesens.sharp import confidence_region, worst_case_pvalue
 from dosesens.simulate import empirical_slope, estimate_power, sharp_coverage, weak_coverage
 from dosesens.weaknull import SolverConfig, WeakNullProblem, bounding_tail, variance_bound, worst_case_zscore
 
 from conftest import random_sample
-from oracles import brute_force_weaknull
+from oracles import brute_force_weaknull, exact_randomization_pvalue
 
 
 # --------------------------------------------------- 1. exact enumeration --

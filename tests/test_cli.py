@@ -203,3 +203,13 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "dosesens" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dosesens.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

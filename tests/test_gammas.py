@@ -18,6 +18,8 @@ from dosesens.gammas import (
 )
 from dosesens.pairs import DoseLink
 
+from oracles import assignment_bounds
+
 
 def test_rate_to_bounds_hand_example(three_pairs):
     # gaps 1, 2, 4 at rate log 2 give bounds 2, 4, 16 and mean 22/3
@@ -67,7 +69,7 @@ def test_explicit_bounds_passthrough():
     assert_allclose(schedule.gamma_bar, 8.0 / 3.0)
     assert_allclose(schedule.p_plus, [0.5, 2.0 / 3.0, 5.0 / 6.0])
     assert_allclose(schedule.p_minus, 1.0 - schedule.p_plus)
-    lo, hi = schedule.assignment_bounds(2)
+    lo, hi = assignment_bounds(schedule, 2)
     assert_allclose([lo, hi], [1.0 / 6.0, 5.0 / 6.0])
 
 

@@ -171,10 +171,11 @@ def test_adjusting_by_truth_recovers_null():
     )
 
 
-def test_sample_iteration_and_len(three_pairs):
+def test_sample_len_and_pair_ids(three_pairs):
     assert isinstance(three_pairs, MatchedSample)
-    assert len(three_pairs) == 3
-    assert [p.pair_id for p in three_pairs] == ["1", "2", "3"]
+    assert len(three_pairs) == three_pairs.n_pairs == 3
+    assert three_pairs.pair_ids == ("1", "2", "3")
+    assert three_pairs.n_covariates == 0
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -8,14 +8,15 @@ from dosesens.errors import ConfigError, DataError
 from dosesens.pairs import sample_from_arrays
 from dosesens.scores import (
     ScoreSpec,
-    exact_randomization_pvalue,
     parse_phi_expression,
+    rank,
     rank_abs,
     score,
     score_from_arrays,
 )
 
 from conftest import random_sample
+from oracles import exact_randomization_pvalue
 
 
 def brute_force_ranks(values):
@@ -190,3 +191,18 @@ def test_enumeration_limit():
     scored = score(sample, ScoreSpec(kind="mcnemar"))
     with pytest.raises(DataError, match="limited"):
         exact_randomization_pvalue(scored)
+
+
+@pytest.mark.parametrize("ties", ["average", "max"])
+def test_rank_matches_scipy_on_ties(ties):
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(3)
+    for values in (
+        rng.integers(0, 6, 40).astype(float),
+        np.round(rng.normal(size=200), 1),
+        np.array([2.0, 2.0, 2.0]),
+        np.array([0.5]),
+    ):
+        expected = rankdata(values, method=ties).astype(float)
+        assert np.array_equal(rank(values, ties=ties), expected)

@@ -11,7 +11,6 @@ from dosesens.scores import ScoreSpec
 from dosesens.simulate import (
     PowerCurve,
     PowerEstimate,
-    empirical_crossing,
     empirical_slope,
     estimate_power,
     power_curve,
@@ -20,6 +19,8 @@ from dosesens.simulate import (
     write_json,
     write_power_csv,
 )
+
+from oracles import empirical_crossing
 
 WILCOXON = ScoreSpec(kind="wilcoxon")
 
