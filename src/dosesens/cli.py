@@ -35,7 +35,7 @@ from .gammas import build_schedule
 from .pairs import DoseLink, read_csv
 from .scores import KINDS, ScoreSpec, parse_phi_expression, score
 from .sharp import confidence_region, worst_case_pvalue
-from .simulate import power_curve, write_power_csv
+from .simulate import json_text, power_curve, write_json, write_power_csv
 from .weaknull import SolverConfig, WeakNullProblem, weak_null_ci, worst_case_zscore
 
 # CLI spelling of the dose-weighted score; the library name is explicit
@@ -174,13 +174,11 @@ def _wrap(command: str, report: dict, seed=None, reps=None) -> dict:
 
 
 def _emit(args, payload: dict, summary: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(payload, args.output)
         print(summary)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(payload))
 
 
 def _fmt(x) -> str:

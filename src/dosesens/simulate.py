@@ -393,11 +393,15 @@ def weak_coverage(
 # ---------------------------------------------------------------- writers --
 
 
+def json_text(report: dict) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(report: dict, path) -> None:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
+    """Write :func:`json_text` of the report to path."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json_text(report))
 
 
 def write_power_csv(curve: PowerCurve, path) -> None:

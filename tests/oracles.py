@@ -2,17 +2,20 @@
 
 These deliberately use different algorithms from the production code (sign
 pattern enumeration instead of convolution; scipy's SLSQP with exhaustive
-enumeration of the binary pattern instead of branch-and-bound), so agreement
+enumeration of the binary pattern instead of branch-and-bound; nested brentq
+root-finds instead of the breakpoint and active-set node solve), so agreement
 is meaningful.
 """
 
 import itertools
+import math
 import warnings
 
 import numpy as np
 from scipy import optimize
 
-from dosesens.errors import ConfigError, DataError
+from dosesens.errors import ConfigError, DataError, SolverError
+from dosesens.qclp import QclpResult
 from dosesens.simulate import power_curve
 
 ENUMERATION_LIMIT = 25
@@ -170,3 +173,128 @@ def enumerate_bounding_tail(tau1, tau2, gamma_i, t, slack=0.0):
         if mean >= t - slack:
             prob += weight
     return prob
+
+
+# ---------------------------------------------------------------- qclp --
+# The node solve of the weak-null search as it stood with nested root-finds:
+# brentq on the plane multiplier inside brentq on the ball multiplier, after
+# x8 bracketing from a tiny nu.  Slow, but it shares no step with the
+# breakpoint and active-set solve in dosesens.qclp.
+
+_BRENTQ_KW = dict(maxiter=256, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+
+
+def _reference_plane(center, c, a, nu, l, u, total):
+    lam_all_hi = float(np.min(-c - 2.0 * nu * a * (u - center))) - 1.0
+    lam_all_lo = float(np.max(-c - 2.0 * nu * a * (l - center))) + 1.0
+
+    def residual(lam):
+        return float(np.sum(np.clip(center - (c + lam) / (2.0 * nu * a), l, u)) - total)
+
+    if residual(lam_all_hi) <= 0.0:
+        return u.copy(), lam_all_hi
+    if residual(lam_all_lo) >= 0.0:
+        return l.copy(), lam_all_lo
+    lam = optimize.brentq(residual, lam_all_hi, lam_all_lo, **_BRENTQ_KW)
+    return np.clip(center - (c + lam) / (2.0 * nu * a), l, u), lam
+
+
+def _reference_polish(x, c, lam, l, u, total):
+    x = x.copy()
+    residual = total - float(np.sum(x))
+    if residual == 0.0:
+        return x
+    for i in np.argsort(np.abs(c + lam)):
+        room = (u[i] - x[i]) if residual > 0 else (x[i] - l[i])
+        step = math.copysign(min(abs(residual), room), residual)
+        x[i] += step
+        residual -= step
+        if abs(residual) <= 1e-15 * max(1.0, abs(total)):
+            break
+    return x
+
+
+def _reference_projection(center, a, l, u, total):
+    theta_all_u = float(np.min(2.0 * a * (center - u))) - 1.0
+    theta_all_l = float(np.max(2.0 * a * (center - l))) + 1.0
+
+    def residual(theta):
+        return float(np.sum(np.clip(center - theta / (2.0 * a), l, u)) - total)
+
+    if residual(theta_all_u) <= 0.0:
+        x = u.copy()
+    elif residual(theta_all_l) >= 0.0:
+        x = l.copy()
+    else:
+        theta = optimize.brentq(residual, theta_all_u, theta_all_l, **_BRENTQ_KW)
+        x = np.clip(center - theta / (2.0 * a), l, u)
+        x = _reference_polish(x, np.zeros_like(x), 0.0, l, u, total)
+    return x, float(np.sum(a * (x - center) ** 2))
+
+
+def reference_minimize_linear(c, l, u, a, center, budget, total, feas_tol=1e-9):
+    """min c @ x on plane ∩ ball ∩ box by nested brentq; a QclpResult."""
+    c, l, u, a, center = (np.asarray(v, dtype=float) for v in (c, l, u, a, center))
+    budget, total = float(budget), float(total)
+    if np.any(a <= 0) or budget < 0:
+        raise SolverError("ball weights must be positive and budget nonnegative")
+    infeasible = QclpResult(status="infeasible", value=math.inf, x=None)
+    if np.any(l > u + 1e-15 * np.maximum(1.0, np.abs(u))):
+        return infeasible
+    eq_slack = feas_tol * max(1.0, abs(total))
+    if float(np.sum(l)) > total + eq_slack or float(np.sum(u)) < total - eq_slack:
+        return infeasible
+
+    def optimal(x):
+        return QclpResult(status="optimal", value=float(c @ x), x=x)
+
+    proj, qmin = _reference_projection(center, a, l, u, total)
+    budget_slack = feas_tol * max(1.0, budget)
+    if qmin > budget + budget_slack:
+        return infeasible
+    if qmin >= budget - budget_slack:
+        return optimal(proj)
+    c_scale = float(np.max(np.abs(c)))
+    if float(np.max(c) - np.min(c)) <= 1e-15 * max(1.0, c_scale):
+        return optimal(proj)
+
+    s0 = total - float(np.sum(center))
+    inv_a = 1.0 / a
+    A1 = float(np.sum(inv_a))
+    Ac = float(np.sum(c * inv_a))
+    var_c = max(float(np.sum(c * c * inv_a)) - Ac * Ac / A1, 0.0)
+    ball_slack = budget - s0 * s0 / A1
+    if ball_slack > 0.0 and var_c > 0.0:
+        nu = math.sqrt(var_c / (4.0 * ball_slack))
+        x = center - (c + (-2.0 * nu * s0 - Ac) / A1) / (2.0 * nu * a)
+        if np.all(x >= l) and np.all(x <= u):
+            return optimal(x)
+
+    radius = math.sqrt(budget / float(np.min(a))) if budget > 0 else 0.0
+    nu_floor = 1e-12 * max(c_scale * max(radius, 1.0), 1.0) / max(budget, 1e-300)
+
+    def quad_at(nu):
+        x, lam = _reference_plane(center, c, a, nu, l, u, total)
+        x = _reference_polish(x, c, lam, l, u, total)
+        return x, float(np.sum(a * (x - center) ** 2))
+
+    x_lo, q_lo = quad_at(nu_floor)
+    if q_lo <= budget + budget_slack:
+        return optimal(x_lo)
+    nu_lo = nu_hi = nu_floor
+    for _ in range(220):
+        nu_lo, nu_hi = nu_hi, 8.0 * nu_hi
+        if quad_at(nu_hi)[1] <= budget:
+            break
+        if nu_hi > 1e50:
+            return optimal(proj)
+    else:
+        return optimal(proj)
+    nu_root = optimize.brentq(lambda nu: quad_at(nu)[1] - budget, nu_lo, nu_hi, **_BRENTQ_KW)
+    x, quad = quad_at(nu_root)
+    for _ in range(60):
+        if quad <= budget + budget_slack:
+            return optimal(x)
+        nu_root = 0.5 * (nu_root + nu_hi)
+        x, quad = quad_at(nu_root)
+    raise SolverError("dual search failed to recover a feasible point")

@@ -205,11 +205,16 @@ def test_version_flag():
     assert "dosesens" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dosesens.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
+def _loaded_by_cli_import(module):
+    code = f"import sys, dosesens.cli; print({module!r} in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    assert _loaded_by_cli_import("scipy.stats") == "False"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    assert _loaded_by_cli_import("scipy.optimize") == "False"

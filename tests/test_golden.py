@@ -9,6 +9,12 @@ purpose regenerates them with
 
 and names every changed field in CHANGES.md.  ``--fixtures`` rewrites the
 fixture CSVs from their seed first (only needed if the fixtures change).
+
+    PYTHONPATH=src python tests/test_golden.py --compare
+
+reruns every case and prints, for each output that differs, every changed
+JSON field with its old and new value and their relative difference; it
+writes nothing.
 """
 
 import contextlib
@@ -178,7 +184,50 @@ def regenerate():
     (EXPECTED / "exit_status.json").write_text(json.dumps(statuses, indent=1, sort_keys=True) + "\n")
 
 
+def _field_diffs(old, new, path=""):
+    """(path, old, new, relative difference or None) for each changed leaf."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from _field_diffs(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _field_diffs(a, b, f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        numbers = all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)
+        )
+        rel = abs(new - old) / max(abs(old), abs(new)) if numbers and old != new else None
+        yield path or ".", old, new, rel
+
+
+def compare():
+    """Print every field that a rerun changes against the goldens."""
+    statuses = json.loads((EXPECTED / "exit_status.json").read_text())
+    differing = 0
+    for name, argv in sorted(CASES.items()):
+        status, out, err = run_case(argv)
+        if status != statuses[name]:
+            differing += 1
+            print(f"{name}: exit status {statuses[name]} -> {status}")
+        for stream, new in (("stdout", out), ("stderr", err)):
+            old = (EXPECTED / f"{name}.{stream}").read_bytes()
+            if new == old:
+                continue
+            differing += 1
+            print(f"{name}.{stream}:")
+            try:
+                diffs = _field_diffs(json.loads(old), json.loads(new))
+                for path, a, b, rel in diffs:
+                    shown = "" if rel is None else f"  rel {rel:.3g}"
+                    print(f"  {path}: {a!r} -> {b!r}{shown}")
+            except json.JSONDecodeError:
+                print("  not JSON; the bytes differ")
+    print(f"{differing} of {3 * len(CASES)} outputs differ")
+
+
 if __name__ == "__main__":
+    if "--compare" in sys.argv:
+        compare()
     if "--fixtures" in sys.argv:
         write_fixtures()
     if "--regenerate" in sys.argv:

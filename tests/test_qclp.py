@@ -1,0 +1,192 @@
+"""The node solve of the weak-null search against a nested-brentq reference.
+
+``dosesens.qclp.minimize_linear`` finds the plane multiplier by a breakpoint
+search and the ball multiplier by closed-form active-set steps.  The
+reference in ``oracles.py`` finds both by ``brentq``.  Both must agree on the
+status and the value of every instance, and the returned point must meet the
+plane, ball and box constraints within the solver's own slacks.
+"""
+
+import numpy as np
+import pytest
+
+from dosesens import qclp
+from dosesens.gammas import build_schedule
+from dosesens.pairs import sample_from_arrays
+from dosesens.weaknull import SolverConfig, WeakNullProblem, _Search, worst_case_zscore
+
+from oracles import reference_minimize_linear
+
+FEAS_TOL = 1e-9
+
+
+def check_agrees(c, l, u, a, center, budget, total):
+    c, l, u, a, center = (np.asarray(v, dtype=float) for v in (c, l, u, a, center))
+    res = qclp.minimize_linear(c, l, u, a, center, budget, total, feas_tol=FEAS_TOL)
+    ref = reference_minimize_linear(c, l, u, a, center, budget, total, feas_tol=FEAS_TOL)
+    assert res.status == ref.status
+    if res.status == "infeasible":
+        return res
+    assert abs(res.value - ref.value) <= 1e-9 * max(1.0, abs(ref.value))
+    x = res.x
+    assert res.value == float(c @ x)
+    assert abs(float(np.sum(x)) - total) <= FEAS_TOL * max(1.0, abs(total))
+    quad = float(np.sum(a * (x - center) ** 2))
+    assert quad <= budget + FEAS_TOL * max(1.0, budget)
+    assert np.all(x >= l - FEAS_TOL * np.maximum(1.0, np.abs(l)))
+    assert np.all(x <= u + FEAS_TOL * np.maximum(1.0, np.abs(u)))
+    return res
+
+
+def random_instance(rng):
+    """Boxes that may exclude the center; budget around the projection's."""
+    n = int(rng.integers(1, 13))
+    a = rng.uniform(0.05, 2.0, n)
+    center = rng.normal(0.0, 1.0, n)
+    l = center + rng.uniform(-3.0, 0.5, n)
+    u = l + rng.uniform(0.0, 3.0, n) * (rng.random(n) < 0.9)
+    c = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-3, 1)
+    total = float(rng.uniform(np.sum(l), np.sum(u)))
+    _, qmin = qclp.project_plane_box(center, a, l, u, total)
+    budget = qmin * rng.uniform(0.9, 1.2) + rng.exponential(rng.choice([0.01, 1.0, 20.0]))
+    return c, l, u, a, center, budget, total
+
+
+def weak_null_instance(rng):
+    """A node relaxation of a random weak-null search: fixed and free pairs."""
+    n = int(rng.integers(2, 11))
+    problem = WeakNullProblem(
+        lambda0=0.0, tau1=rng.normal(0.4, 1.0, n), gamma_i=rng.uniform(1.0, 3.0, n)
+    )
+    objective = "printed" if rng.random() < 0.5 else "expectation"
+    search = _Search(problem, SolverConfig(objective=objective))
+    wfix = rng.integers(-1, 2, n).astype(np.int8)
+    slope, _, lo, hi = search._coeffs(wfix)
+    return slope, lo, hi, search.a, search.tau1, search.budget, search.total
+
+
+@pytest.mark.parametrize("make, count", [(random_instance, 1500), (weak_null_instance, 1500)])
+def test_agrees_with_nested_brentq_reference(make, count):
+    rng = np.random.default_rng(20240601)
+    statuses = []
+    for _ in range(count):
+        statuses.append(check_agrees(*make(rng)).status)
+    # both outcomes occur, so neither path is vacuous
+    assert 0 < statuses.count("infeasible") < count
+
+
+def test_zero_budget_leaves_only_the_center():
+    center = np.array([0.5, -1.0, 2.0])
+    box = (center - 1.0, center + 1.0)
+    res = check_agrees([1.0, 2.0, -1.0], *box, [1.0, 2.0, 0.5], center, 0.0, float(center.sum()))
+    assert res.status == "optimal"
+    np.testing.assert_array_equal(res.x, center)
+    # the center off the plane leaves nothing
+    res = check_agrees([1.0, 2.0, -1.0], *box, [1.0, 2.0, 0.5], center, 0.0, 2.0)
+    assert res.status == "infeasible"
+
+
+def test_pinned_coordinates():
+    l = np.array([-1.0, 0.3, -2.0, 0.7])
+    u = np.array([2.0, 0.3, 1.0, 0.7])
+    res = check_agrees([1.0, -3.0, -0.5, 4.0], l, u, [1.0, 0.5, 2.0, 1.0], np.zeros(4), 3.0, 0.5)
+    assert res.status == "optimal"
+    assert res.x[1] == 0.3 and res.x[3] == 0.7
+
+
+def test_plane_through_a_box_corner():
+    l, u = np.array([-1.0, -1.0, 0.0]), np.array([1.0, 0.5, 2.0])
+    res = check_agrees([1.0, -1.0, 0.5], l, u, np.ones(3), np.zeros(3), 10.0, float(u.sum()))
+    np.testing.assert_array_equal(res.x, u)
+    res = check_agrees([1.0, -1.0, 0.5], l, u, np.ones(3), np.zeros(3), 10.0, float(l.sum()))
+    np.testing.assert_array_equal(res.x, l)
+
+
+def test_constant_objective():
+    res = check_agrees(np.full(4, 0.7), -np.ones(4), np.ones(4), np.ones(4), np.zeros(4), 1.0, 0.4)
+    assert res.value == pytest.approx(0.7 * 0.4, abs=1e-15)
+
+
+def test_box_free_optimum_inside_the_box():
+    c, a = np.array([1.0, -1.0, 0.5]), np.array([1.0, 2.0, 0.5])
+    res = check_agrees(c, -100 * np.ones(3), 100 * np.ones(3), a, np.zeros(3), 1.0, 0.0)
+    # closed form: x = -(c - C/A) / (2 nu a) with nu = sqrt(V / 4 budget)
+    d = c - np.sum(c / a) / np.sum(1 / a)
+    nu = np.sqrt(np.sum(d * d / a) / 4.0)
+    np.testing.assert_allclose(res.x, -d / (2.0 * nu * a), rtol=1e-14, atol=1e-15)
+    assert float(np.sum(a * res.x**2)) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "l, u, budget, total",
+    [
+        ([0.0, 1.0], [1.0, 0.5], 5.0, 1.0),  # empty box
+        ([0.0, 0.0], [1.0, 1.0], 5.0, 2.5),  # plane misses the box
+        ([2.0, 2.0], [3.0, 3.0], 1.0, 4.0),  # plane-box set outside the ball
+    ],
+)
+def test_infeasible_data(l, u, budget, total):
+    res = check_agrees([1.0, -1.0], l, u, [1.0, 1.0], [0.0, 0.0], budget, total)
+    assert res.status == "infeasible" and res.x is None
+
+
+def test_active_ball_is_met_at_the_root():
+    """The search stops at the root, not anywhere within the budget slack."""
+    rng = np.random.default_rng(5)
+    solved = 0
+    for _ in range(300):
+        c, l, u, a, center, budget, total = random_instance(rng)
+        res = qclp.minimize_linear(c, l, u, a, center, budget, total)
+        if res.status != "optimal":
+            continue
+        lp = reference_minimize_linear(c, l, u, a, center, 1e12, total)
+        if lp.value < res.value - 1e-9 * max(1.0, abs(res.value)):
+            # a looser ball does better, so the ball binds: it holds to rounding
+            quad = float(np.sum(a * (res.x - center) ** 2))
+            assert quad == pytest.approx(budget, rel=1e-12, abs=1e-13)
+            solved += 1
+    assert solved > 50
+
+
+def eight_pairs(jitter_seed=None):
+    """A fixed 8-pair design at gamma_bar 1.5, optionally with a 3 % jitter."""
+    base = np.random.default_rng([0, 7919])
+    z_lo = base.uniform(0.0, 3.0, 8)
+    gap = base.uniform(0.25, 2.0, 8)
+    y_lo = 0.5 * z_lo + base.normal(0.0, 1.0, 8)
+    y_hi = 0.5 * (z_lo + gap) + base.normal(0.0, 1.0, 8)
+    if jitter_seed is not None:
+        jitter = np.random.default_rng(jitter_seed)
+        gap = gap * np.exp(0.03 * jitter.normal(0.0, 1.0, 8))
+        y_lo = y_lo + 0.03 * jitter.normal(0.0, 1.0, 8)
+        y_hi = y_hi + 0.03 * jitter.normal(0.0, 1.0, 8)
+    sample = sample_from_arrays(z_lo, z_lo + gap, y_lo, y_hi)
+    return WeakNullProblem.from_sample(sample, build_schedule(sample, gamma_bar=1.5), 0.5)
+
+
+def test_nu_search_work_per_node_is_small_and_stable(monkeypatch):
+    """Plane solves per node that reaches the nu search, counted, not timed."""
+    counts = {"plane": 0, "searched": 0}
+    solve_plane, minimize_linear = qclp._solve_plane, qclp.minimize_linear
+
+    def counted_plane(*args):
+        counts["plane"] += 1
+        return solve_plane(*args)
+
+    def counted_solve(*args, **kwargs):
+        before = counts["plane"]
+        res = minimize_linear(*args, **kwargs)
+        counts["searched"] += counts["plane"] > before
+        return res
+
+    monkeypatch.setattr(qclp, "_solve_plane", counted_plane)
+    monkeypatch.setattr(qclp, "minimize_linear", counted_solve)
+    totals = []
+    for jitter_seed in (None, 1):
+        counts.update(plane=0, searched=0)
+        sol = worst_case_zscore(eight_pairs(jitter_seed), SolverConfig(objective="printed"))
+        assert sol.status == "optimal"
+        assert counts["searched"] > 100
+        assert counts["plane"] <= 8 * counts["searched"]
+        totals.append(counts["plane"])
+    assert max(totals) <= 1.5 * min(totals)

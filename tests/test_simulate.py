@@ -13,6 +13,7 @@ from dosesens.simulate import (
     PowerEstimate,
     empirical_slope,
     estimate_power,
+    json_text,
     power_curve,
     sharp_coverage,
     weak_coverage,
@@ -180,6 +181,7 @@ def test_write_json_byte_stable(tmp_path):
     write_json(report, second)
     assert first.read_bytes() == second.read_bytes()
     assert json.loads(first.read_text()) == report
+    assert first.read_text() == json_text(report)
     assert first.read_text().endswith("\n")
 
 
