@@ -92,6 +92,20 @@ CASES = {
     "power-sim-monte-carlo": (
         *_POWER, "--method", "monte-carlo", "--mc-reps", "1000", "--test", "double-rank",
     ),
+    # Larger fixtures: midrank halves (Wilcoxon) and quarters (double-rank) on
+    # the exact route, and a Monte Carlo tail that spans two chunks.
+    "analyze-wilcoxon-exact-250": (
+        "analyze", _f("pairs_250.csv"), "--gamma-bar", "1.5", "--method", "exact",
+    ),
+    "analyze-double-rank-exact-60": (
+        "analyze", _f("pairs_60.csv"), "--gamma-bar", "1.3", "--test", "double-rank",
+        "--method", "exact",
+    ),
+    "ci-exact-80": ("ci", _f("pairs_80.csv"), "--gamma-bar", "1.25", "--method", "exact"),
+    "analyze-monte-carlo-100k": (
+        "analyze", _f("pairs_60.csv"), "--gamma-bar", "5", "--method", "monte-carlo",
+        "--seed", "5", "--reps", "100000",
+    ),
     "error-ties-strict": (
         "analyze", _f("pairs_x2.csv"), "--gamma-bar", "1.3", "--ties", "strict",
     ),
@@ -164,6 +178,8 @@ def write_fixtures():
     rng = np.random.default_rng(20240314)
     _write_pairs(GOLDEN / "pairs_x1.csv", rng, 6, 1)
     _write_pairs(GOLDEN / "pairs_x2.csv", rng, 14, 2)
+    for n in (60, 80, 250):
+        _write_pairs(GOLDEN / f"pairs_{n}.csv", rng, n, 0)
     (GOLDEN / "grid_effect_modification.json").write_text(
         json.dumps([[b0, b1] for b0 in (-2.0, 1.0, 4.0) for b1 in (-2.0, 0.0, 2.0)]) + "\n"
     )
