@@ -4,12 +4,28 @@ The worst-case reference distributions used throughout this package are sums
 T = sum_i q_i * B_i with known nonnegative weights q_i and independent
 B_i ~ Bernoulli(p_i).  Three evaluation routes are provided:
 
-* ``exact_*`` -- dynamic-programming convolution over the exact support
-  (feasible while the support stays small; weights on a lattice collapse it);
+* ``exact_*`` -- the full distribution of T, built pair by pair in a fixed
+  order and cached.  It takes one of two routes:
+
+  - *lattice*: when every q_i * k is an integer for one k in (1, 2, 4) --
+    McNemar (integers), Wilcoxon with midranks (halves), double-rank and
+    ``r_z * r_y`` (quarters) -- and the lattice {0, 1/k, ..., sum q_i}
+    has at most ``SUPPORT_CAP`` points, a dense probability array and a
+    reachability mask over the lattice are updated in place, O(n * S) with
+    no sorting;
+  - *merge*: any other weights (``dose-weighted-abs``, general expressions,
+    normalized ranks), or a lattice over the cap, merge the support with
+    ``np.unique`` after each pair and stop with a ``DataError`` once it
+    passes ``SUPPORT_CAP`` points.
+
+  Both routes add the same two products per support point in the same
+  order, so they return the same values and probabilities bit for bit;
 * ``normal_*`` -- central-limit approximation, with a log-tail variant that
   never underflows;
 * ``mc_*`` -- seeded Monte Carlo in fixed-size chunks, so estimates are
-  reproducible and independent of how work is split across chunks.
+  reproducible and independent of how work is split across chunks.  Each
+  chunk is drawn in blocks of ``MC_BLOCK`` rows, which bounds memory without
+  changing the draws.
 
 Comparisons against a threshold t use a small absolute slack so that sign
 patterns whose sum equals t mathematically are not dropped to floating-point
@@ -28,6 +44,7 @@ from .errors import ConfigError, DataError
 from .rngs import STREAM_MC_TAIL, child_rng
 
 MC_CHUNK = 1 << 16
+MC_BLOCK = 1 << 12
 MIN_MC_REPS = 1000
 SUPPORT_CAP = 1 << 21
 
@@ -53,9 +70,44 @@ def normal_logsf(z):
 # ----------------------------------------------------------------- exact --
 
 
-@lru_cache(maxsize=64)
-def _convolved_distribution(q: tuple, p: tuple):
-    """Support and probabilities of sum q_i*B_i, sorted by support value."""
+def _lattice_step(q: np.ndarray):
+    """Smallest k in (1, 2, 4) that puts every weight on the grid Z / k."""
+    if not np.all(q >= 0.0):
+        return None
+    for k in (1, 2, 4):
+        scaled = q * k
+        if np.array_equal(scaled, np.floor(scaled)):
+            return k
+    return None
+
+
+def _lattice_distribution(steps: list, p: tuple, k: int):
+    """Dense convolution over the lattice {0, 1/k, 2/k, ...}.
+
+    Per pair, the new probability of each point is old * (1 - p) plus the
+    point's shifted old * p, the same two products added in the same order
+    as the merge route, so the results agree bit for bit.  ``reach`` keeps
+    points whose probability underflows to zero in the support, as the
+    merge route does.
+    """
+    probs = np.zeros(sum(steps) + 1)
+    reach = np.zeros(probs.size, dtype=bool)
+    probs[0] = 1.0
+    reach[0] = True
+    top = 1  # points at or above ``top`` are unreachable so far
+    for step, pi in zip(steps, p):
+        if step == 0:
+            continue
+        moved = probs[:top] * pi
+        probs[:top] *= 1.0 - pi
+        probs[step:step + top] += moved
+        reach[step:step + top] |= reach[:top]
+        top += step
+    idx = np.flatnonzero(reach)
+    return idx / k, probs[idx]
+
+
+def _merged_distribution(q: tuple, p: tuple):
     values = np.zeros(1)
     probs = np.ones(1)
     for qi, pi in zip(q, p):
@@ -72,6 +124,16 @@ def _convolved_distribution(q: tuple, p: tuple):
                 "use the Monte Carlo or normal method"
             )
     return values, probs
+
+
+@lru_cache(maxsize=64)
+def _convolved_distribution(q: tuple, p: tuple):
+    """Support and probabilities of sum q_i*B_i, sorted by support value."""
+    weights = np.array(q, dtype=float)
+    k = _lattice_step(weights)
+    if k is not None and weights.sum() * k < SUPPORT_CAP:
+        return _lattice_distribution((weights * k).astype(np.int64).tolist(), p, k)
+    return _merged_distribution(q, p)
 
 
 def _distribution(q: np.ndarray, p: np.ndarray):
@@ -111,14 +173,19 @@ def binomial_se(share: float, reps: int) -> float:
 
 
 def uniform_chunks(reps: int, width: int, seed: int, *stream: int):
-    """``reps`` rows of ``width`` U(0, 1) draws, in blocks of ``MC_CHUNK`` rows.
+    """``reps`` rows of ``width`` U(0, 1) draws, in blocks of ``MC_BLOCK`` rows.
 
-    Block ``c`` comes from ``child_rng(seed, *stream, c)``, so each estimate
-    depends only on the seed, the stream and the number of replicates.
+    Chunk ``c`` of ``MC_CHUNK`` rows comes from ``child_rng(seed, *stream, c)``,
+    so each estimate depends only on the seed, the stream and the number of
+    replicates.  A generator yields the same doubles in the same order
+    whatever shape they are drawn in, so drawing a chunk block by block
+    changes no draw; it only keeps one block in memory at a time.
     """
     for chunk_idx, start in enumerate(range(0, reps, MC_CHUNK)):
         rng = child_rng(seed, *stream, chunk_idx)
-        yield rng.random((min(MC_CHUNK, reps - start), width))
+        rows = min(MC_CHUNK, reps - start)
+        for done in range(0, rows, MC_BLOCK):
+            yield rng.random((min(MC_BLOCK, rows - done), width))
 
 
 def mc_tails(

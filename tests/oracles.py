@@ -4,7 +4,9 @@ These deliberately use different algorithms from the production code (sign
 pattern enumeration instead of convolution; scipy's SLSQP with exhaustive
 enumeration of the binary pattern instead of branch-and-bound; nested brentq
 root-finds instead of the breakpoint and active-set node solve), so agreement
-is meaningful.
+is meaningful.  The support-merging convolution is kept as the reference for
+the dense lattice convolution in dosesens.tails, which must match it bit for
+bit.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import warnings
 import numpy as np
 from scipy import optimize
 
+from dosesens import tails
 from dosesens.errors import ConfigError, DataError, SolverError
 from dosesens.qclp import QclpResult
 from dosesens.simulate import power_curve
@@ -48,6 +51,31 @@ def exact_randomization_pvalue(scored, side="greater"):
         sums = bits.astype(float) @ q
         hits += int(np.count_nonzero(sums >= t - slack))
     return hits / total
+
+
+def reference_convolved_distribution(q, p):
+    """Support and probabilities of sum q_i*B_i by merging the support per pair.
+
+    After each pair the candidate support is re-sorted with ``np.unique`` and
+    coinciding points are summed with ``np.add.at``; raises ``DataError``
+    once the support passes ``tails.SUPPORT_CAP`` points.
+    """
+    values = np.zeros(1)
+    probs = np.ones(1)
+    for qi, pi in zip(q, p):
+        if qi == 0.0:
+            continue
+        cand_values = np.concatenate([values, values + qi])
+        cand_probs = np.concatenate([probs * (1.0 - pi), probs * pi])
+        values, inverse = np.unique(cand_values, return_inverse=True)
+        probs = np.zeros_like(values)
+        np.add.at(probs, inverse, cand_probs)
+        if values.size > tails.SUPPORT_CAP:
+            raise DataError(
+                f"exact tail support exceeds {tails.SUPPORT_CAP} points; "
+                "use the Monte Carlo or normal method"
+            )
+    return values, probs
 
 
 def assignment_bounds(schedule, i):
