@@ -87,6 +87,15 @@ CASES = {
     "design-sens": ("design-sens", *_DGP),
     "design-sens-double-rank": ("design-sens", *_DGP, "--phi", "double-rank"),
     "bahadur": ("bahadur", *_DGP, "--gamma-bar", "1.2"),
+    # McNemar reads neither rank of the population draw
+    "design-sens-constant-gap-mcnemar": (
+        "design-sens", "--dgp", "constant-gap", "--param", "effect=0.5",
+        "--param", "gap=1.0", "--phi", "mcnemar", "--draws", "10000", "--seed", "2",
+    ),
+    "bahadur-fixed-concordance-mcnemar": (
+        "bahadur", "--dgp", "fixed-concordance", "--param", "theta=0.7",
+        "--phi", "mcnemar", "--draws", "10000", "--gamma-bar", "1.2", "--seed", "2",
+    ),
     "power-sim-workers-1": (*_POWER, "--workers", "1"),
     "power-sim-workers-2": (*_POWER, "--workers", "2"),
     "power-sim-monte-carlo": (
