@@ -27,7 +27,21 @@ function phi:
 Population expectations are replaced by one frozen Monte Carlo draw per
 DgpSpec, so ``design_sensitivity`` and ``bahadur_slope`` with the same spec
 see identical draws and their fixed points agree to tolerance rather than to
-Monte Carlo noise.
+Monte Carlo noise.  Only the ranks that phi reads are computed: McNemar reads
+neither, Wilcoxon only V.
+
+Both equations are solved by one safeguarded Newton iteration (``rtsafe``):
+a doubling bracket, then Newton steps from its lower end, each taking the
+function and its derivative from the same pass over the draws,
+
+    d/dgamma  E[phi * logistic(gamma * gap)] = E[phi * gap * s * (1 - s)],
+    d/dt      omega1(t)                      = E[phi^2 * s * (1 - s)],
+
+with s the logistic term in each.  For gamma, t >= 0 both left sides are
+increasing and concave (gaps >= 0 and p >= 1/2), so Newton from below
+climbs to the root without overshooting; a step that still leaves the
+bracket is replaced by the bracket midpoint.  On the built-in DGPs a solve
+takes five to seven passes, bracket included, where bisection took 43 to 45.
 """
 
 from __future__ import annotations
@@ -43,7 +57,10 @@ from .errors import ConfigError, DataError, SolverError
 from .gammas import MAX_EXPONENT, gamma_for_mean_bound
 from .scores import rank
 
-_BISECT_ITER = 200
+_MAX_ITER = 200
+# an iterate whose next Newton step (or the bracket around it) is this small,
+# relative to max(1, x), is the root
+_STEP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -93,15 +110,51 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
     gaps = np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
 
     n = dose_diff.size
+    reads = dgp.phi_reads()
+    # a rank phi does not read stays NaN, which the finiteness check catches
+    unread = np.full(n, np.nan)
     # right-continuous empirical CDF evaluated at the draws: rank_max / n
-    u = rank(np.abs(dose_diff), ties="max") / n
-    v = rank(np.abs(outcome_diff), ties="max") / n
+    u = rank(np.abs(dose_diff), ties="max") / n if "u" in reads else unread
+    v = rank(np.abs(outcome_diff), ties="max") / n if "v" in reads else unread
     phi_values = np.asarray(dgp.phi_fn()(u, v), dtype=float)
-    if phi_values.shape != u.shape:
+    if phi_values.shape != (n,):
         raise DataError("phi must return one value per draw")
     if not np.all(np.isfinite(phi_values)) or np.any(phi_values < 0):
         raise DataError("phi must be finite and nonnegative over the rank range")
     return gaps, concordant, phi_values
+
+
+def _newton_root(value_and_slope, target, lo, hi, at_lo, ftol):
+    """Root of value(x) = target for an increasing value on [lo, hi].
+
+    ``value_and_slope(x)`` returns ``(value(x), value'(x))`` from one pass;
+    ``at_lo`` is its result at ``lo``, with value(lo) < target <= value(hi).
+    Newton steps start from ``lo``; a step that leaves the bracket (lo, hi)
+    is replaced by its midpoint, and every iterate narrows the bracket while
+    keeping value(lo) < target <= value(hi), as bisection does.  Returns
+    ``(x, value(x))`` for the first iterate within ``ftol`` of the target
+    that is within _STEP_TOL * max(1, x) of the root: either the bracket is
+    that narrow, or the residual plus one float spacing of the target (the
+    width of a run of x whose values all round to the target), divided by
+    the slope, is.  After _MAX_ITER passes, the last iterate.
+    """
+    spacing = float(np.spacing(target))
+    x, (value, slope) = lo, at_lo
+    for _ in range(_MAX_ITER):
+        residual = value - target
+        xtol = _STEP_TOL * max(1.0, x)
+        if abs(residual) <= ftol and (
+            hi - lo <= xtol or abs(residual) + spacing <= xtol * slope
+        ):
+            break
+        step = -residual / slope if slope > 0.0 else math.inf
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        value, slope = value_and_slope(x)
+        if value < target:
+            lo = x
+        else:
+            hi = x
+    return x, value
 
 
 def design_sensitivity(
@@ -118,11 +171,14 @@ def design_sensitivity(
     n = phi.size
     scale = max(float(phi.mean()), np.finfo(float).tiny)
     rhs = float((phi * concordant).mean())
+    phi_gap = phi * gaps
 
-    def lhs(g: float) -> float:
-        return float((phi * special.expit(g * gaps)).mean())
+    def lhs(g: float):
+        s = special.expit(g * gaps)
+        return float((phi * s).mean()), float((phi_gap * (s * (1.0 - s))).mean())
 
-    lhs0 = lhs(0.0)
+    at_lo = lhs(0.0)
+    lhs0 = at_lo[0]
     null_margin = 3.0 * float(np.std(phi * (concordant - 0.5), ddof=1)) / math.sqrt(n)
     if rhs - lhs0 <= null_margin:
         return DesignSensitivityResult(
@@ -143,37 +199,26 @@ def design_sensitivity(
 
     non_monotone = False
     lo, hi = 0.0, min(1.0, gamma_cap)
-    prev = lhs0
-    while lhs(hi) < rhs:
-        value = lhs(hi)
-        if value < prev - 1e-12 * scale:
-            non_monotone = True
-        prev = value
-        lo = hi
-        hi *= 2.0
+    at_hi = lhs(hi)
+    while at_hi[0] < rhs:
         if hi >= gamma_cap:
-            hi = gamma_cap
-            if lhs(hi) < rhs:
-                raise SolverError(
-                    "design-sensitivity equation has no root below the exp() "
-                    "guard: the concordance signal exceeds the logistic "
-                    "supremum on these draws"
-                )
-            break
+            raise SolverError(
+                "design-sensitivity equation has no root below the exp() "
+                "guard: the concordance signal exceeds the logistic "
+                "supremum on these draws"
+            )
+        if at_hi[0] < at_lo[0] - 1e-12 * scale:
+            non_monotone = True
+        lo, at_lo = hi, at_hi
+        hi = min(2.0 * hi, gamma_cap)
+        at_hi = lhs(hi)
 
-    for _ in range(_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        residual = lhs(mid) - rhs
-        if abs(residual) <= tol * scale and hi - lo <= 1e-12 * max(1.0, mid):
-            break
-        if residual < 0:
-            lo = mid
-        else:
-            hi = mid
-    gamma_star = 0.5 * (lo + hi)
-    residual = lhs(gamma_star) - rhs
-    if abs(residual) > tol * scale:
-        raise SolverError("design-sensitivity bisection failed to converge")
+    gamma_star, lhs_star = _newton_root(lhs, rhs, lo, hi, at_lo, tol * scale)
+    residual = lhs_star - rhs
+    if not abs(residual) <= tol * scale:
+        raise SolverError(
+            f"design-sensitivity root solve did not converge (residual {residual:.3g})"
+        )
 
     amplification = np.exp(np.minimum(gamma_star * gaps, MAX_EXPONENT))
     gamma_bar_star = float(amplification.mean())
@@ -213,13 +258,17 @@ def slope_from_components(mu, phi, p_success, tol: float = 1e-6):
     scale = max(float(phi.mean()), np.finfo(float).tiny)
     odds_inv = (1.0 - p) / p  # exp(-t*phi) multiplier, stable for t >= 0
 
-    def omega1(t: float) -> float:
-        return float((phi / (1.0 + odds_inv * np.exp(-t * phi))).mean())
+    def omega1(t: float):
+        # the logistic term is s = 1 / (1 + w), so phi^2 s(1-s) = term^2 * w
+        w = odds_inv * np.exp(-t * phi)
+        term = phi / (1.0 + w)
+        return float(term.mean()), float((term * term * w).mean())
 
     def omega0(t: float) -> float:
         return float((t * phi + np.log(p + (1.0 - p) * np.exp(-t * phi))).mean())
 
-    at_zero = omega1(0.0)
+    at_lo = omega1(0.0)
+    at_zero = at_lo[0]
     if mu < at_zero - tol * scale:
         raise SolverError(
             "mean concordance score falls below the worst-case null mean: "
@@ -234,22 +283,14 @@ def slope_from_components(mu, phi, p_success, tol: float = 1e-6):
 
     lo, hi = 0.0, 1.0
     for _ in range(80):
-        if omega1(hi) >= mu:
+        at_hi = omega1(hi)
+        if at_hi[0] >= mu:
             break
-        lo = hi
+        lo, at_lo = hi, at_hi
         hi *= 2.0
     else:
         raise SolverError("failed to bracket the slope equation root")
-    for _ in range(_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        value = omega1(mid)
-        if abs(value - mu) <= 1e-12 * scale and hi - lo <= 1e-12 * max(1.0, mid):
-            break
-        if value < mu:
-            lo = mid
-        else:
-            hi = mid
-    t_tilde = 0.5 * (lo + hi)
+    t_tilde, _ = _newton_root(omega1, mu, lo, hi, at_lo, 1e-12 * scale)
     omega0_t = omega0(t_tilde)
     slope = 2.0 * (t_tilde * mu - omega0_t)
     return float(t_tilde), float(omega0_t), float(max(slope, 0.0))

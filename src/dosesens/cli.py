@@ -140,14 +140,13 @@ def _schedule(args, sample, link):
     return build_schedule(sample, link=link, **kw)
 
 
-def _dgp(args) -> DgpSpec:
+def _dgp(args, **population) -> DgpSpec:
     return DgpSpec(
         sampler=args.dgp,
         params=_parse_params(args.param),
         link=_dose_link(args.link),
-        phi=args.phi,
-        mc_draws=args.draws,
         seed=args.seed,
+        **population,
     )
 
 
@@ -255,7 +254,7 @@ def _run_ci(args):
 
 
 def _run_design_sens(args):
-    dgp = _dgp(args)
+    dgp = _dgp(args, phi=args.phi, mc_draws=args.draws)
     result = design_sensitivity(dgp, tol=args.tol)
     body = result.to_json_dict()
     body["dgp"] = dgp.to_json_dict()
@@ -269,7 +268,7 @@ def _run_design_sens(args):
 
 
 def _run_bahadur(args):
-    dgp = _dgp(args)
+    dgp = _dgp(args, phi=args.phi, mc_draws=args.draws)
     result = bahadur_slope(dgp, gamma_bar=args.gamma_bar, tol=args.tol)
     body = result.to_json_dict()
     body["dgp"] = dgp.to_json_dict()
@@ -390,6 +389,9 @@ def _add_dgp_options(sub):
         metavar="KEY=VALUE",
         help="DGP parameter, repeatable",
     )
+
+
+def _add_population_options(sub):
     sub.add_argument("--phi", help="rank-score name or expression for the test under study")
     sub.add_argument("--draws", type=int, help="population draws for the functionals")
 
@@ -456,8 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
         "design-sens", help="limiting discriminable bias under a population model"
     )
     _add_dgp_options(design)
+    _add_population_options(design)
     design.add_argument("--link")
-    design.add_argument("--tol", type=float, help="bisection tolerance")
+    design.add_argument(
+        "--tol", type=float, help="root-solve tolerance on the residual, relative to mean phi"
+    )
     design.add_argument("--seed", type=int, help="seed for the population draw")
     _add_common(design)
     design.set_defaults(
@@ -476,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bahadur", help="Bahadur efficiency slope at a bias level"
     )
     _add_dgp_options(bahadur)
+    _add_population_options(bahadur)
     bahadur.add_argument("--link")
     bahadur.add_argument("--gamma-bar", type=float, help="mean odds bound under test")
     bahadur.add_argument("--tol", type=float)
@@ -544,10 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
         _needs_seed=True,
         _defaults={
             "dgp": "paired-normal",
-            "phi": "wilcoxon",
             **_TEST_DEFAULTS,
             "link": "identity",
-            "draws": 1_000_000,
             "n_pairs": 500,
             "gamma_bar_grid": "1.0",
             "alpha": 0.05,
@@ -557,7 +561,35 @@ def build_parser() -> argparse.ArgumentParser:
         },
     )
 
+    for sub in commands.choices.values():
+        sub.set_defaults(_actions={action.dest: action for action in sub._actions})
     return parser
+
+
+def _config_value(action, key: str, value):
+    """A --config value put through its option's converter and choices, as
+    the same text given as a flag would be."""
+    if action.nargs == 0:  # on/off flags take the JSON value as it is
+        return value
+    if isinstance(action, argparse._AppendAction):
+        items = value if isinstance(value, list) else [value]
+        return [_config_item(action, key, item) for item in items]
+    return _config_item(action, key, value)
+
+
+def _config_item(action, key: str, item):
+    if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+        raise ConfigError(f"config key {key}: expected one value, got {item!r}")
+    convert = action.type or str
+    try:
+        value = convert(str(item))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"config key {key}: invalid {convert.__name__} value {item!r}") from err
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(
+            f"config key {key}: {item!r} is not one of {', '.join(action.choices)}"
+        )
+    return value
 
 
 def _apply_config(args) -> None:
@@ -574,7 +606,9 @@ def _apply_config(args) -> None:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in cfg.items():
-            if getattr(args, key, None) is None:
+            if getattr(args, key, None) is None and value is not None:
+                if key in args._actions:
+                    value = _config_value(args._actions[key], key, value)
                 setattr(args, key, value)
     for key, value in defaults.items():
         if getattr(args, key, None) is None:

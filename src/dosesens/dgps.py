@@ -26,6 +26,13 @@ RANK_SCORE_FNS: dict = {
     "double-rank": lambda u, v: np.asarray(u, dtype=float) * np.asarray(v, dtype=float),
 }
 RANK_SCORE_FNS["dose-weighted-rank"] = RANK_SCORE_FNS["double-rank"]
+# The ranks each built-in reads; expressions and callables read both.
+RANK_SCORE_READS: dict = {
+    "mcnemar": "",
+    "wilcoxon": "v",
+    "double-rank": "uv",
+    "dose-weighted-rank": "uv",
+}
 
 
 def rank_score_fn(phi) -> Callable:
@@ -155,6 +162,12 @@ class DgpSpec:
 
     def phi_fn(self) -> Callable:
         return rank_score_fn(self.phi)
+
+    def phi_reads(self) -> str:
+        """The normalized ranks phi reads: some of ``"u"`` and ``"v"``."""
+        if isinstance(self.phi, str):
+            return RANK_SCORE_READS.get(self.phi, "uv")
+        return "uv"
 
     def to_json_dict(self) -> dict:
         return {

@@ -190,7 +190,10 @@ def power_curve(
                 seed=int(seed),
             )
         )
-    return PowerCurve(estimates=tuple(estimates), dgp=dgp.to_json_dict())
+    # each replicate draws n_pairs and is scored with ``spec``, so the spec's
+    # population score and draw count play no part in the curve
+    sampling = {k: v for k, v in dgp.to_json_dict().items() if k not in ("phi", "mc_draws")}
+    return PowerCurve(estimates=tuple(estimates), dgp=sampling)
 
 
 # -------------------------------------------------------- empirical slope --

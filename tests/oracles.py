@@ -6,7 +6,10 @@ enumeration of the binary pattern instead of branch-and-bound; nested brentq
 root-finds instead of the breakpoint and active-set node solve), so agreement
 is meaningful.  The support-merging convolution is kept as the reference for
 the dense lattice convolution in dosesens.tails, which must match it bit for
-bit.
+bit.  The bisections that solved the design-sensitivity and Bahadur slope
+equations are kept as references for the safeguarded Newton solves in
+dosesens.asymptotics, and the gamma_bar bisection as it evaluated the mean
+with ``ndarray.mean``, which dosesens.gammas must match bit for bit.
 """
 
 import itertools
@@ -14,10 +17,12 @@ import math
 import warnings
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from dosesens import tails
+from dosesens.asymptotics import DesignSensitivityResult, _population_components
 from dosesens.errors import ConfigError, DataError, SolverError
+from dosesens.gammas import MAX_EXPONENT
 from dosesens.qclp import QclpResult
 from dosesens.simulate import power_curve
 
@@ -326,3 +331,156 @@ def reference_minimize_linear(c, l, u, a, center, budget, total, feas_tol=1e-9):
         nu_root = 0.5 * (nu_root + nu_hi)
         x, quad = quad_at(nu_root)
     raise SolverError("dual search failed to recover a feasible point")
+
+
+# ------------------------------------------------- asymptotic root solves --
+
+_BISECT_ITER = 200
+
+
+def reference_design_sensitivity(dgp, tol=1e-6, stream=()):
+    """Design sensitivity by doubling bracket and plain bisection."""
+    gaps, concordant, phi = _population_components(dgp, stream)
+    n = phi.size
+    scale = max(float(phi.mean()), np.finfo(float).tiny)
+    rhs = float((phi * concordant).mean())
+
+    def lhs(g):
+        return float((phi * special.expit(g * gaps)).mean())
+
+    lhs0 = lhs(0.0)
+    null_margin = 3.0 * float(np.std(phi * (concordant - 0.5), ddof=1)) / math.sqrt(n)
+    if rhs - lhs0 <= null_margin:
+        return DesignSensitivityResult(
+            gamma_star=0.0, gamma_bar_star=1.0, lhs_rhs_residual=lhs0 - rhs,
+            mc_std_err=0.0, null_case=True, non_monotone_lhs=False,
+            mc_draws=n, seed=dgp.seed,
+        )
+    max_gap = float(gaps.max(initial=0.0))
+    if max_gap == 0.0:
+        raise DataError("all transformed dose gaps are zero")
+    gamma_cap = MAX_EXPONENT / max_gap
+
+    non_monotone = False
+    lo, hi = 0.0, min(1.0, gamma_cap)
+    prev = lhs0
+    while lhs(hi) < rhs:
+        value = lhs(hi)
+        if value < prev - 1e-12 * scale:
+            non_monotone = True
+        prev = value
+        lo = hi
+        hi *= 2.0
+        if hi >= gamma_cap:
+            hi = gamma_cap
+            if lhs(hi) < rhs:
+                raise SolverError(
+                    "design-sensitivity equation has no root below the exp() "
+                    "guard: the concordance signal exceeds the logistic "
+                    "supremum on these draws"
+                )
+            break
+    for _ in range(_BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        residual = lhs(mid) - rhs
+        if abs(residual) <= tol * scale and hi - lo <= 1e-12 * max(1.0, mid):
+            break
+        if residual < 0:
+            lo = mid
+        else:
+            hi = mid
+    gamma_star = 0.5 * (lo + hi)
+    residual = lhs(gamma_star) - rhs
+    if abs(residual) > tol * scale:
+        raise SolverError("design-sensitivity bisection failed to converge")
+    amplification = np.exp(np.minimum(gamma_star * gaps, MAX_EXPONENT))
+    return DesignSensitivityResult(
+        gamma_star=float(gamma_star),
+        gamma_bar_star=float(amplification.mean()),
+        lhs_rhs_residual=float(residual),
+        mc_std_err=float(np.std(amplification, ddof=1)) / math.sqrt(n),
+        null_case=False,
+        non_monotone_lhs=non_monotone,
+        mc_draws=n,
+        seed=dgp.seed,
+    )
+
+
+def reference_slope_root(mu, phi, p_success, tol=1e-6):
+    """(t_tilde, omega0(t_tilde), slope) by doubling bracket and bisection."""
+    phi = np.asarray(phi, dtype=float)
+    p = np.asarray(p_success, dtype=float)
+    mu = float(mu)
+    scale = max(float(phi.mean()), np.finfo(float).tiny)
+    odds_inv = (1.0 - p) / p
+
+    def omega1(t):
+        return float((phi / (1.0 + odds_inv * np.exp(-t * phi))).mean())
+
+    def omega0(t):
+        return float((t * phi + np.log(p + (1.0 - p) * np.exp(-t * phi))).mean())
+
+    at_zero = omega1(0.0)
+    if mu < at_zero - tol * scale:
+        raise SolverError("the bias level exceeds the design sensitivity")
+    if abs(mu - at_zero) <= tol * scale:
+        return 0.0, 0.0, 0.0
+    if mu >= float(phi.mean()) - 1e-15 * scale:
+        raise SolverError("mu saturates the score scale; no finite root")
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        if omega1(hi) >= mu:
+            break
+        lo = hi
+        hi *= 2.0
+    else:
+        raise SolverError("failed to bracket the slope equation root")
+    for _ in range(_BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        value = omega1(mid)
+        if abs(value - mu) <= 1e-12 * scale and hi - lo <= 1e-12 * max(1.0, mid):
+            break
+        if value < mu:
+            lo = mid
+        else:
+            hi = mid
+    t_tilde = 0.5 * (lo + hi)
+    omega0_t = omega0(t_tilde)
+    slope = 2.0 * (t_tilde * mu - omega0_t)
+    return float(t_tilde), float(omega0_t), float(max(slope, 0.0))
+
+
+def reference_gamma_for_mean_bound(gamma_bar, gaps, tol=1e-10):
+    """gamma_bar = mean(exp(gamma * gap)) inverted by bisection, the mean
+    taken with ``ndarray.mean``."""
+    target = float(gamma_bar)
+    gaps = np.asarray(gaps, dtype=float)
+    if target == 1.0:
+        return 0.0
+    gamma_cap = MAX_EXPONENT / float(gaps.max(initial=0.0))
+
+    def mean_bound(g):
+        return float(np.exp(g * gaps).mean())
+
+    lo, hi = 0.0, min(1.0, gamma_cap)
+    while mean_bound(hi) < target:
+        lo = hi
+        hi *= 2.0
+        if hi > gamma_cap:
+            hi = gamma_cap
+            if mean_bound(hi) < target:
+                raise DataError("gamma_bar is beyond the exp() overflow guard")
+            break
+    for _ in range(_BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        value = mean_bound(mid)
+        if abs(value - target) <= tol * target and hi - lo <= 1e-12 * max(1.0, mid):
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    if abs(mean_bound(mid) - target) > tol * target:
+        raise SolverError("gamma_bar bisection failed to converge")
+    return mid

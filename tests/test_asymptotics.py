@@ -1,12 +1,15 @@
 """Design sensitivity and Bahadur slopes against scalar-equation oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 from scipy.special import expit, logit
 
+from dosesens import asymptotics
 from dosesens.asymptotics import (
     bahadur_slope,
     design_sensitivity,
@@ -14,6 +17,8 @@ from dosesens.asymptotics import (
 )
 from dosesens.dgps import DgpSpec
 from dosesens.errors import ConfigError, DataError, SolverError
+
+from oracles import reference_design_sensitivity, reference_slope_root
 
 
 def concordance_rate(dgp):
@@ -166,3 +171,167 @@ def test_single_atom_slope_closed_form():
         )
         assert slope == pytest.approx(binary_slope(theta), abs=1e-10)
         assert t == pytest.approx(logit(theta), abs=1e-9)
+
+
+# ------------------------------------------ Newton solves against bisection --
+
+_SAMPLERS = {
+    "paired-normal": {"effect": 0.5},
+    "null": {},
+    "fixed-concordance": {"theta": 0.7},
+    "constant-gap": {"effect": 0.5, "gap": 1.0},
+}
+
+
+def assert_same_root(got, want):
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+def assert_matches_reference(dgp, tol=1e-6):
+    got = design_sensitivity(dgp, tol=tol)
+    want = reference_design_sensitivity(dgp, tol=tol)
+    if want.null_case:
+        assert got == want
+        return got
+    assert not got.null_case
+    assert got.non_monotone_lhs == want.non_monotone_lhs
+    assert_same_root(got.gamma_star, want.gamma_star)
+    # d log(gamma_bar_star) / d gamma_star is at most the largest gap
+    gaps, _, phi = asymptotics._population_components(dgp)
+    rel = 2e-12 * max(1.0, want.gamma_star) * max(1.0, float(gaps.max()))
+    assert got.gamma_bar_star == pytest.approx(want.gamma_bar_star, rel=rel)
+    assert abs(got.lhs_rhs_residual) <= tol * float(phi.mean())
+    return got
+
+
+@pytest.mark.parametrize("phi", ["mcnemar", "wilcoxon", "double-rank"])
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+def test_newton_roots_match_bisection(sampler, phi):
+    dgp = DgpSpec(sampler=sampler, params=_SAMPLERS[sampler], phi=phi,
+                  mc_draws=20_000, seed=41)
+    star = assert_matches_reference(dgp)
+    assert star.null_case == (sampler == "null")
+    if star.null_case:
+        return
+    # slope equation on the same draws, below and at the design sensitivity
+    gaps, concordant, phi_values = asymptotics._population_components(dgp)
+    mu = float((phi_values * concordant).mean())
+    for frac in (0.0, 0.3, 0.9):
+        p = np.clip(expit(frac * star.gamma_star * gaps), None, 1.0 - 1e-16)
+        got = slope_from_components(mu, phi_values, p)
+        want = reference_slope_root(mu, phi_values, p)
+        assert_same_root(got[0], want[0])
+        assert got[1] == pytest.approx(want[1], rel=1e-10, abs=1e-14)
+        assert got[2] == pytest.approx(want[2], rel=1e-10, abs=1e-14)
+    p = np.clip(expit(star.gamma_star * gaps), None, 1.0 - 1e-16)
+    assert slope_from_components(mu, phi_values, p) == reference_slope_root(mu, phi_values, p)
+
+
+def test_newton_root_after_several_bracket_doublings():
+    # gap 0.05 and effect 20: the root is near 23, past five doublings of 1
+    dgp = DgpSpec(sampler="constant-gap", params={"gap": 0.05, "effect": 20.0},
+                  phi="mcnemar", mc_draws=20_000, seed=43)
+    star = assert_matches_reference(dgp, tol=1e-9)
+    assert star.gamma_star > 16.0
+
+
+def _guard_sampler(theta):
+    """99 % of pairs 0.001 apart in dose and 1 % a whole unit apart, so the
+    exp() guard caps gamma at 700 while most logistic terms stay near 1/2;
+    outcomes agree with the dose order with probability ``theta``."""
+
+    def sample(rng, n):
+        z1 = rng.uniform(0.0, 1.0, n)
+        gap = np.where(rng.random(n) < 0.99, 1e-3, 1.0)
+        z2 = z1 + np.where(rng.random(n) < 0.5, -gap, gap)
+        agree = np.where(rng.random(n) < theta, 1.0, -1.0)
+        diff = np.sign(z1 - z2) * agree * np.abs(rng.normal(0.0, 1.0, n))
+        mid = rng.normal(0.0, 1.0, n)
+        return z1, z2, mid + 0.5 * diff, mid - 0.5 * diff
+
+    return sample
+
+
+# exp(gamma_star * gap) is near e^650 here, so the standard error of
+# gamma_bar_star overflows to inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_newton_root_near_the_exp_guard():
+    dgp = DgpSpec(sampler=_guard_sampler(0.66), phi="mcnemar", mc_draws=20_000, seed=47)
+    star = assert_matches_reference(dgp)
+    assert 0.8 * 700.0 < star.gamma_star < 700.0
+    beyond = DgpSpec(sampler=_guard_sampler(0.72), phi="mcnemar", mc_draws=20_000, seed=47)
+    for solve in (design_sensitivity, reference_design_sensitivity):
+        with pytest.raises(SolverError, match="exp\\(\\) guard"):
+            solve(beyond)
+
+
+@pytest.mark.parametrize("shortfall", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_slope_root_near_saturation_matches_bisection(shortfall):
+    rng = np.random.default_rng(53)
+    atoms = [
+        (np.ones(1), np.array([0.5])),
+        (np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.6, 0.7])),
+        (rng.uniform(0.0, 1.0, 1000), rng.uniform(0.5, 0.995, 1000)),
+    ]
+    for phi, p in atoms:
+        mu = float(phi.mean()) * (1.0 - shortfall)
+        got = slope_from_components(mu, phi, p)
+        want = reference_slope_root(mu, phi, p)
+        assert_same_root(got[0], want[0])
+        assert got[2] == pytest.approx(want[2], rel=1e-9)
+
+
+def test_slope_null_case_is_zero_for_both_solvers():
+    phi = np.array([1.0, 2.0, 3.0])
+    p = np.array([0.6, 0.7, 0.8])
+    mu = float((phi * p).mean())
+    assert slope_from_components(mu, phi, p) == reference_slope_root(mu, phi, p) == (0.0, 0.0, 0.0)
+
+
+# ------------------------------------------------ work done per solve, counted --
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count passes of expit over the draws and calls of rank."""
+    counts = {"expit": 0, "rank": 0}
+
+    def counted_expit(x):
+        counts["expit"] += 1
+        return special.expit(x)
+
+    rank = asymptotics.rank
+
+    def counted_rank(*args, **kwargs):
+        counts["rank"] += 1
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "special", SimpleNamespace(expit=counted_expit))
+    monkeypatch.setattr(asymptotics, "rank", counted_rank)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "sampler,params,phi",
+    [
+        ("paired-normal", {"effect": 0.5}, "wilcoxon"),
+        ("constant-gap", {"effect": 0.5, "gap": 1.0}, "mcnemar"),
+        ("fixed-concordance", {"theta": 0.7}, "double-rank"),
+    ],
+)
+def test_design_sensitivity_passes_are_few(counted, sampler, params, phi):
+    # bisection made 44-45 passes on each of these
+    dgp = DgpSpec(sampler=sampler, params=params, phi=phi, mc_draws=400_000, seed=59)
+    star = design_sensitivity(dgp)
+    assert not star.null_case
+    assert counted["expit"] <= 12
+
+
+@pytest.mark.parametrize(
+    "phi,ranks", [("mcnemar", 0), ("wilcoxon", 1), ("double-rank", 2), ("r_z * r_y", 2)]
+)
+def test_only_the_ranks_phi_reads_are_computed(counted, phi, ranks):
+    dgp = DgpSpec(sampler="paired-normal", params={"effect": 0.5}, phi=phi,
+                  mc_draws=10_000, seed=61)
+    asymptotics._population_components(dgp)
+    assert counted["rank"] == ranks

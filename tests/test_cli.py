@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from dosesens.cli import main
 from dosesens.pairs import write_csv
 
 
@@ -99,6 +100,39 @@ def test_config_file_merging(pairs_csv, tmp_path, schema):
     assert "no_such_option" in json.loads(proc.stderr)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("ci", {"alpha": "oops"}),
+        ("analyze", {"reps": "many"}),
+        ("power-sim", {"workers": "two"}),
+        ("analyze", {"method": "bogus"}),
+    ],
+)
+def test_bad_config_values_are_config_errors(pairs_csv, tmp_path, capsys, command, config):
+    # each value goes through its flag's converter and choices
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    head = ["power-sim", "--seed", "1"] if command == "power-sim" else [
+        command, pairs_csv, "--gamma-bar", "1.5"]
+    assert main([*head, "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == "config-error"
+    assert next(iter(config)) in error["message"]
+
+
+def test_config_values_convert_like_flags(pairs_csv, tmp_path, schema):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"gamma_bar": "1.5", "method": "normal", "reps": 5000}))
+    from_config = check(run_cli("analyze", pairs_csv, "--config", str(config)), schema)
+    from_flags = check(
+        run_cli("analyze", pairs_csv, "--gamma-bar", "1.5", "--method", "normal"), schema
+    )
+    assert from_config == from_flags
+
+
 def test_ci_command(pairs_csv, schema):
     proc = run_cli(
         "ci", pairs_csv, "--gamma-bar", "1.0", "--beta-grid", "0:2:1",
@@ -182,6 +216,10 @@ def test_power_sim_outputs(tmp_path, schema):
     jsonschema.validate(payload, schema)
     assert len(payload["report"]["estimates"]) == 2
     assert csv_out.read_text().startswith("gamma_bar")
+    # the population score and draw count are not options of power-sim
+    assert set(payload["report"]["dgp"]) == {"sampler", "params", "link", "seed"}
+    for flag in (["--phi", "mcnemar"], ["--draws", "20000"]):
+        assert run_cli("power-sim", "--seed", "6", *flag).returncode == 2
 
 
 def test_reports_are_byte_identical_across_reruns(tmp_path):

@@ -18,7 +18,7 @@ from dosesens.gammas import (
 )
 from dosesens.pairs import DoseLink
 
-from oracles import assignment_bounds
+from oracles import assignment_bounds, reference_gamma_for_mean_bound
 
 
 def test_rate_to_bounds_hand_example(three_pairs):
@@ -125,3 +125,23 @@ def test_schedule_is_frozen():
     assert isinstance(schedule, GammaSchedule)
     with pytest.raises(AttributeError):
         schedule.gamma_i = np.array([3.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 2000])
+def test_mean_bound_inversion_is_bit_identical_to_reference(n):
+    # the mean is taken as np.add.reduce(...) / n, which is what ndarray.mean
+    # computes, so every bisection step and the root match bit for bit
+    rng = np.random.default_rng(n)
+    for gaps in (rng.uniform(0.0, 3.0, n), np.abs(rng.normal(0.0, 0.2, n))):
+        cap = 700.0 / gaps.max()
+        near_cap = float(np.exp(0.97 * cap * gaps).mean())
+        for target in (1.0 + 1e-9, 1.25, 2.0, near_cap):
+            for tol in (1e-10, 1e-12):
+                got = gamma_for_mean_bound(target, gaps, tol=tol)
+                want = reference_gamma_for_mean_bound(target, gaps, tol=tol)
+                assert got == want, (target, tol)
+        beyond = 2.0 * float(np.exp(cap * gaps).mean())
+        with pytest.raises(DataError, match="overflow guard"):
+            gamma_for_mean_bound(beyond, gaps)
+        with pytest.raises(DataError):
+            reference_gamma_for_mean_bound(beyond, gaps)

@@ -14,7 +14,8 @@ fixture CSVs from their seed first (only needed if the fixtures change).
 
 reruns every case and prints, for each output that differs, every changed
 JSON field with its old and new value and their relative difference; it
-writes nothing.
+writes nothing, and exits with status 1 when any output differs, so a script
+can gate on it.
 """
 
 import contextlib
@@ -209,11 +210,22 @@ def regenerate():
     (EXPECTED / "exit_status.json").write_text(json.dumps(statuses, indent=1, sort_keys=True) + "\n")
 
 
+class _Absent:
+    def __repr__(self):
+        return "<absent>"
+
+
+_ABSENT = _Absent()
+
+
 def _field_diffs(old, new, path=""):
-    """(path, old, new, relative difference or None) for each changed leaf."""
+    """(path, old, new, relative difference or None) for each changed leaf;
+    a field only one side has shows as <absent> on the other."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(set(old) | set(new)):
-            yield from _field_diffs(old.get(key), new.get(key), f"{path}.{key}")
+            yield from _field_diffs(
+                old.get(key, _ABSENT), new.get(key, _ABSENT), f"{path}.{key}"
+            )
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
             yield from _field_diffs(a, b, f"{path}[{i}]")
@@ -225,8 +237,9 @@ def _field_diffs(old, new, path=""):
         yield path or ".", old, new, rel
 
 
-def compare():
-    """Print every field that a rerun changes against the goldens."""
+def compare() -> int:
+    """Print every field that a rerun changes against the goldens; returns
+    the number of outputs that differ."""
     statuses = json.loads((EXPECTED / "exit_status.json").read_text())
     differing = 0
     for name, argv in sorted(CASES.items()):
@@ -248,12 +261,13 @@ def compare():
             except json.JSONDecodeError:
                 print("  not JSON; the bytes differ")
     print(f"{differing} of {3 * len(CASES)} outputs differ")
+    return differing
 
 
 if __name__ == "__main__":
-    if "--compare" in sys.argv:
-        compare()
+    differing = compare() if "--compare" in sys.argv else 0
     if "--fixtures" in sys.argv:
         write_fixtures()
     if "--regenerate" in sys.argv:
         regenerate()
+    sys.exit(1 if differing else 0)
