@@ -111,8 +111,8 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
 
     n = dose_diff.size
     reads = dgp.phi_reads()
-    # a rank phi does not read stays NaN, which the finiteness check catches
-    unread = np.full(n, np.nan)
+    # a rank phi does not read is a NaN view, which the finiteness check catches
+    unread = np.broadcast_to(np.nan, (n,))
     # right-continuous empirical CDF evaluated at the draws: rank_max / n
     u = rank(np.abs(dose_diff), ties="max") / n if "u" in reads else unread
     v = rank(np.abs(outcome_diff), ties="max") / n if "v" in reads else unread
