@@ -58,9 +58,7 @@ from .gammas import MAX_EXPONENT, gamma_for_mean_bound
 from .scores import rank
 
 _MAX_ITER = 200
-# an iterate whose next Newton step (or the bracket around it) is this small,
-# relative to max(1, x), is the root
-_STEP_TOL = 1e-13
+_STEP_TOL = 1e-13  # distance to the root, relative to max(1, x), that ends a solve
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,11 @@ def design_sensitivity(
     rhs = float((phi * concordant).mean())
     phi_gap = phi * gaps
 
-    def lhs(g: float):
+    def lhs_and_slope(g: float):
         s = special.expit(g * gaps)
         return float((phi * s).mean()), float((phi_gap * (s * (1.0 - s))).mean())
 
-    at_lo = lhs(0.0)
+    at_lo = lhs_and_slope(0.0)
     lhs0 = at_lo[0]
     null_margin = 3.0 * float(np.std(phi * (concordant - 0.5), ddof=1)) / math.sqrt(n)
     if rhs - lhs0 <= null_margin:
@@ -199,7 +197,7 @@ def design_sensitivity(
 
     non_monotone = False
     lo, hi = 0.0, min(1.0, gamma_cap)
-    at_hi = lhs(hi)
+    at_hi = lhs_and_slope(hi)
     while at_hi[0] < rhs:
         if hi >= gamma_cap:
             raise SolverError(
@@ -211,9 +209,9 @@ def design_sensitivity(
             non_monotone = True
         lo, at_lo = hi, at_hi
         hi = min(2.0 * hi, gamma_cap)
-        at_hi = lhs(hi)
+        at_hi = lhs_and_slope(hi)
 
-    gamma_star, lhs_star = _newton_root(lhs, rhs, lo, hi, at_lo, tol * scale)
+    gamma_star, lhs_star = _newton_root(lhs_and_slope, rhs, lo, hi, at_lo, tol * scale)
     residual = lhs_star - rhs
     if not abs(residual) <= tol * scale:
         raise SolverError(
@@ -258,7 +256,7 @@ def slope_from_components(mu, phi, p_success, tol: float = 1e-6):
     scale = max(float(phi.mean()), np.finfo(float).tiny)
     odds_inv = (1.0 - p) / p  # exp(-t*phi) multiplier, stable for t >= 0
 
-    def omega1(t: float):
+    def omega1_and_slope(t: float):
         # the logistic term is s = 1 / (1 + w), so phi^2 s(1-s) = term^2 * w
         w = odds_inv * np.exp(-t * phi)
         term = phi / (1.0 + w)
@@ -267,7 +265,7 @@ def slope_from_components(mu, phi, p_success, tol: float = 1e-6):
     def omega0(t: float) -> float:
         return float((t * phi + np.log(p + (1.0 - p) * np.exp(-t * phi))).mean())
 
-    at_lo = omega1(0.0)
+    at_lo = omega1_and_slope(0.0)
     at_zero = at_lo[0]
     if mu < at_zero - tol * scale:
         raise SolverError(
@@ -283,14 +281,14 @@ def slope_from_components(mu, phi, p_success, tol: float = 1e-6):
 
     lo, hi = 0.0, 1.0
     for _ in range(80):
-        at_hi = omega1(hi)
+        at_hi = omega1_and_slope(hi)
         if at_hi[0] >= mu:
             break
         lo, at_lo = hi, at_hi
         hi *= 2.0
     else:
         raise SolverError("failed to bracket the slope equation root")
-    t_tilde, _ = _newton_root(omega1, mu, lo, hi, at_lo, 1e-12 * scale)
+    t_tilde, _ = _newton_root(omega1_and_slope, mu, lo, hi, at_lo, 1e-12 * scale)
     omega0_t = omega0(t_tilde)
     slope = 2.0 * (t_tilde * mu - omega0_t)
     return float(t_tilde), float(omega0_t), float(max(slope, 0.0))

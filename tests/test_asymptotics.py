@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import special
 from scipy.special import expit, logit
 
 from dosesens import asymptotics
@@ -298,7 +297,7 @@ def counted(monkeypatch):
 
     def counted_expit(x):
         counts["expit"] += 1
-        return special.expit(x)
+        return expit(x)
 
     rank = asymptotics.rank
 
@@ -333,5 +332,10 @@ def test_design_sensitivity_passes_are_few(counted, sampler, params, phi):
 def test_only_the_ranks_phi_reads_are_computed(counted, phi, ranks):
     dgp = DgpSpec(sampler="paired-normal", params={"effect": 0.5}, phi=phi,
                   mc_draws=10_000, seed=61)
-    asymptotics._population_components(dgp)
+    _, _, phi_values = asymptotics._population_components(dgp)
     assert counted["rank"] == ranks
+    # the same scores as from both ranks
+    z1, z2, y1, y2 = dgp.draw()
+    u = asymptotics.rank(np.abs(z1 - z2), ties="max") / z1.size
+    v = asymptotics.rank(np.abs(y1 - y2), ties="max") / z1.size
+    assert np.array_equal(phi_values, dgp.phi_fn()(u, v))

@@ -130,12 +130,15 @@ def test_schedule_is_frozen():
 @pytest.mark.parametrize("n", [1, 2, 7, 200, 2000])
 def test_mean_bound_inversion_is_bit_identical_to_reference(n):
     # the mean is taken as np.add.reduce(...) / n, which is what ndarray.mean
-    # computes, so every bisection step and the root match bit for bit
+    # computes, so every bisection step and the root match bit for bit.  The
+    # means at the dyadic rates 0.375 and 1.5, which the bisection evaluates,
+    # make a comparison flip at the last bit of any other summation.
     rng = np.random.default_rng(n)
     for gaps in (rng.uniform(0.0, 3.0, n), np.abs(rng.normal(0.0, 0.2, n))):
         cap = 700.0 / gaps.max()
         near_cap = float(np.exp(0.97 * cap * gaps).mean())
-        for target in (1.0 + 1e-9, 1.25, 2.0, near_cap):
+        dyadic = [float(np.exp(g * gaps).mean()) for g in (0.375, 1.5)]
+        for target in (1.0 + 1e-9, 1.25, 2.0, near_cap, *dyadic):
             for tol in (1e-10, 1e-12):
                 got = gamma_for_mean_bound(target, gaps, tol=tol)
                 want = reference_gamma_for_mean_bound(target, gaps, tol=tol)

@@ -264,10 +264,27 @@ def compare() -> int:
     return differing
 
 
-if __name__ == "__main__":
-    differing = compare() if "--compare" in sys.argv else 0
-    if "--fixtures" in sys.argv:
+def main_status(argv) -> int:
+    differing = compare() if "--compare" in argv else 0
+    if "--fixtures" in argv:
         write_fixtures()
-    if "--regenerate" in sys.argv:
+    if "--regenerate" in argv:
         regenerate()
-    sys.exit(1 if differing else 0)
+    return 1 if differing else 0
+
+
+def test_compare_exit_status_gates_on_any_difference(tmp_path, monkeypatch, capsys):
+    name = "error-nan_y"
+    for suffix in ("stdout", "stderr"):
+        (tmp_path / f"{name}.{suffix}").write_bytes((EXPECTED / f"{name}.{suffix}").read_bytes())
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {name: CASES[name]})
+    monkeypatch.setattr(sys.modules[__name__], "EXPECTED", tmp_path)
+    (tmp_path / "exit_status.json").write_text(json.dumps({name: 3}))
+    assert main_status(["--compare"]) == 0
+    (tmp_path / f"{name}.stderr").write_bytes(b"{}\n")
+    assert main_status(["--compare"]) == 1
+    assert "1 of 3 outputs differ" in capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    sys.exit(main_status(sys.argv))
