@@ -50,7 +50,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .dgps import DgpSpec, rank_score_fn  # noqa: F401  (re-exported API)
 from .errors import ConfigError, DataError, SolverError
@@ -88,6 +87,12 @@ class BahadurResult:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + e^-x); every argument here is >= 0, so
+    e^-x never overflows."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _population_components(dgp: DgpSpec, stream: tuple = ()):
@@ -172,7 +177,7 @@ def design_sensitivity(
     phi_gap = phi * gaps
 
     def lhs_and_slope(g: float):
-        s = special.expit(g * gaps)
+        s = _expit(g * gaps)
         return float((phi * s).mean()), float((phi_gap * (s * (1.0 - s))).mean())
 
     at_lo = lhs_and_slope(0.0)
@@ -220,7 +225,14 @@ def design_sensitivity(
 
     amplification = np.exp(np.minimum(gamma_star * gaps, MAX_EXPONENT))
     gamma_bar_star = float(amplification.mean())
-    mc_std_err = float(np.std(amplification, ddof=1)) / math.sqrt(n)
+    with np.errstate(over="ignore"):
+        spread = float(np.std(amplification, ddof=1))
+    if not math.isfinite(spread):
+        # amplifications near e^MAX_EXPONENT overflow when squared; the
+        # scaled spread is the same number without the overflow
+        top = float(amplification.max())
+        spread = float(np.std(amplification / top, ddof=1)) * top
+    mc_std_err = spread / math.sqrt(n)
     return DesignSensitivityResult(
         gamma_star=float(gamma_star),
         gamma_bar_star=gamma_bar_star,
@@ -310,7 +322,7 @@ def bahadur_slope(
     mu = float((phi * concordant).mean())
     gamma = 0.0 if gamma_bar == 1.0 else gamma_for_mean_bound(gamma_bar, gaps, tol=1e-12)
     # expit saturates to 1.0 in floats for huge exponents; keep p in (0, 1)
-    p = np.clip(special.expit(gamma * gaps), None, 1.0 - 1e-16)
+    p = np.clip(_expit(gamma * gaps), None, 1.0 - 1e-16)
     t_tilde, omega0_t, slope = slope_from_components(mu, phi, p, tol=tol)
     return BahadurResult(
         gamma_bar=gamma_bar,

@@ -84,16 +84,15 @@ class GammaSchedule:
         return 1.0 / (1.0 + self.gamma_i)
 
     def to_json_dict(self) -> dict:
-        per_pair = []
-        for i in range(self.n_pairs):
-            per_pair.append(
-                {
-                    "pair_id": self.pair_ids[i] if self.pair_ids else str(i + 1),
-                    "gap": None if self.gaps is None else float(self.gaps[i]),
-                    "Gamma_i": float(self.gamma_i[i]),
-                    "p_plus": float(self.p_plus[i]),
-                }
+        n = self.n_pairs
+        ids = self.pair_ids or [str(i + 1) for i in range(n)]
+        gaps = [None] * n if self.gaps is None else self.gaps.tolist()
+        per_pair = [
+            {"pair_id": pair_id, "gap": gap, "Gamma_i": gamma_i, "p_plus": p_plus}
+            for pair_id, gap, gamma_i, p_plus in zip(
+                ids, gaps, self.gamma_i.tolist(), self.p_plus.tolist()
             )
+        ]
         return {
             "gamma": self.gamma,
             "gamma_bar": self.gamma_bar,

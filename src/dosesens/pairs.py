@@ -207,7 +207,13 @@ class DoseLink:
 
     def validate_on(self, doses) -> None:
         """Check strict monotonicity of the link over the observed doses."""
-        doses = np.unique(np.asarray(doses, dtype=float))
+        doses = np.asarray(doses, dtype=float)
+        if self.kind == "identity":
+            # monotone by construction; a NaN dose is the one way it fails
+            if np.isnan(doses).any():
+                raise DataError("dose link is not strictly monotone over observed doses")
+            return
+        doses = np.unique(doses)
         values = self.apply(doses)
         diffs = np.diff(values)
         if doses.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):

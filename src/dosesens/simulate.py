@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,6 +32,20 @@ def _mc_seed(seed: int, rep: int) -> int:
     # a per-replicate integer seed for the inner tail Monte Carlo, derived
     # from the master seed so reruns match bit for bit
     return int(child_seed_sequence(seed, STREAM_POWER, rep, 1).generate_state(1)[0])
+
+
+def _map_chunks(fn, chunks, workers: int) -> list:
+    """``[fn(c) for c in chunks]``, across a process pool when ``workers > 1``.
+
+    The pool module is imported here, the one place that opens a pool, so
+    importing the package does not load ``multiprocessing``.
+    """
+    if workers <= 1:
+        return [fn(c) for c in chunks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def _scored_rep(dgp, n_pairs, spec, seed, rep):
@@ -167,11 +180,7 @@ def power_curve(
          min(CHUNK_REPS, reps - start))
         for start in range(0, reps, CHUNK_REPS)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_power_chunk, chunks))
-    else:
-        parts = [_power_chunk(c) for c in chunks]
+    parts = _map_chunks(_power_chunk, chunks, workers)
     hits = np.sum(parts, axis=0, dtype=int)
     estimates = []
     for gamma_bar, rejections in zip(grid, hits):
@@ -245,11 +254,7 @@ def empirical_slope(
         (dgp, n_pairs, gamma_bar, spec, seed, start, min(CHUNK_REPS, reps - start))
         for start in range(0, reps, CHUNK_REPS)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_slope_chunk, chunks))
-    else:
-        parts = [_slope_chunk(c) for c in chunks]
+    parts = _map_chunks(_slope_chunk, chunks, workers)
     rates = np.concatenate([np.asarray(p) for p in parts])
     return SlopeEstimate(
         gamma_bar=float(gamma_bar),

@@ -38,7 +38,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, DataError
 from .rngs import STREAM_MC_TAIL, child_rng
@@ -57,14 +56,29 @@ def comparison_slack(t: float) -> float:
 # ---------------------------------------------------------------- normal --
 
 
-def normal_sf(z):
-    """Upper tail of the standard normal, vectorized."""
-    return 0.5 * special.erfc(np.asarray(z, dtype=float) / math.sqrt(2.0))
+_SQRT2 = math.sqrt(2.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def normal_logsf(z):
-    """log P(N(0,1) > z) without underflow for large z."""
-    return special.log_ndtr(-np.asarray(z, dtype=float))
+def normal_sf(z: float) -> float:
+    """Upper tail of the standard normal at a scalar z."""
+    return 0.5 * math.erfc(z / _SQRT2)
+
+
+def normal_logsf(z: float) -> float:
+    """log P(N(0,1) > z) at a scalar z, without underflow for large z.
+
+    Below 0 the tail is near 1 and ``log1p`` keeps its small complement;
+    up to 20 the tail itself is accurate; beyond 20 the asymptotic series
+    of the Mills ratio, whose first omitted term is under 3e-12 there.
+    """
+    if z < 0.0:
+        return math.log1p(-0.5 * math.erfc(-z / _SQRT2))
+    if z <= 20.0:
+        return math.log(0.5 * math.erfc(z / _SQRT2))
+    w = 1.0 / (z * z)
+    series = 1.0 + w * (-1.0 + w * (3.0 + w * (-15.0 + w * (105.0 + w * -945.0))))
+    return -0.5 * z * z - math.log(z) - _HALF_LOG_2PI + math.log(series)
 
 
 # ----------------------------------------------------------------- exact --

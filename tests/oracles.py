@@ -394,11 +394,13 @@ def reference_design_sensitivity(dgp, tol=1e-6, stream=()):
     if abs(residual) > tol * scale:
         raise SolverError("design-sensitivity bisection failed to converge")
     amplification = np.exp(np.minimum(gamma_star * gaps, MAX_EXPONENT))
+    mean = float(amplification.mean())
     return DesignSensitivityResult(
         gamma_star=float(gamma_star),
-        gamma_bar_star=float(amplification.mean()),
+        gamma_bar_star=mean,
         lhs_rhs_residual=float(residual),
-        mc_std_err=float(np.std(amplification, ddof=1)) / math.sqrt(n),
+        # scaled by the mean, so squares near e^1300 do not overflow
+        mc_std_err=float(np.std(amplification / mean, ddof=1)) * mean / math.sqrt(n),
         null_case=False,
         non_monotone_lhs=non_monotone,
         mc_draws=n,

@@ -1,7 +1,6 @@
 """Design sensitivity and Bahadur slopes against scalar-equation oracles."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +28,14 @@ def concordance_rate(dgp):
 def binary_slope(theta):
     """Closed-form slope for unit scores at even odds."""
     return 2.0 * (theta * math.log(theta) + (1 - theta) * math.log(1 - theta) + math.log(2.0))
+
+
+def test_expit_helper_matches_scipy_on_the_arguments_it_gets():
+    # arguments are gamma * gap with gamma, gap >= 0, up to the exp() guard
+    x = np.concatenate([np.linspace(0.0, 700.0, 200_001),
+                        np.random.default_rng(3).uniform(0.0, 40.0, 200_000)])
+    want = expit(x)
+    assert np.all(np.abs(asymptotics._expit(x) - want) <= 5e-16 * want)
 
 
 def test_constant_gap_reduces_to_scalar_equation():
@@ -199,6 +206,7 @@ def assert_matches_reference(dgp, tol=1e-6):
     gaps, _, phi = asymptotics._population_components(dgp)
     rel = 2e-12 * max(1.0, want.gamma_star) * max(1.0, float(gaps.max()))
     assert got.gamma_bar_star == pytest.approx(want.gamma_bar_star, rel=rel)
+    assert got.mc_std_err == pytest.approx(want.mc_std_err, rel=rel)
     assert abs(got.lhs_rhs_residual) <= tol * float(phi.mean())
     return got
 
@@ -251,13 +259,12 @@ def _guard_sampler(theta):
     return sample
 
 
-# exp(gamma_star * gap) is near e^650 here, so the standard error of
-# gamma_bar_star overflows to inf
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_newton_root_near_the_exp_guard():
     dgp = DgpSpec(sampler=_guard_sampler(0.66), phi="mcnemar", mc_draws=20_000, seed=47)
     star = assert_matches_reference(dgp)
     assert 0.8 * 700.0 < star.gamma_star < 700.0
+    # exp(gamma_star * gap) is near e^650 here, so squaring it overflows
+    assert math.isfinite(star.mc_std_err) and star.mc_std_err > 0.0
     beyond = DgpSpec(sampler=_guard_sampler(0.72), phi="mcnemar", mc_draws=20_000, seed=47)
     for solve in (design_sensitivity, reference_design_sensitivity):
         with pytest.raises(SolverError, match="exp\\(\\) guard"):
@@ -294,10 +301,11 @@ def test_slope_null_case_is_zero_for_both_solvers():
 def counted(monkeypatch):
     """Count passes of expit over the draws and calls of rank."""
     counts = {"expit": 0, "rank": 0}
+    expit_pass = asymptotics._expit
 
     def counted_expit(x):
         counts["expit"] += 1
-        return expit(x)
+        return expit_pass(x)
 
     rank = asymptotics.rank
 
@@ -305,7 +313,7 @@ def counted(monkeypatch):
         counts["rank"] += 1
         return rank(*args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "special", SimpleNamespace(expit=counted_expit))
+    monkeypatch.setattr(asymptotics, "_expit", counted_expit)
     monkeypatch.setattr(asymptotics, "rank", counted_rank)
     return counts
 

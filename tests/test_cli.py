@@ -256,3 +256,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     assert _loaded_by_cli_import("scipy.optimize") == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _loaded_by_cli_import("scipy") == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only power-sim and the slope estimate with --workers > 1 open a pool
+    assert _loaded_by_cli_import("concurrent.futures.process") == "False"

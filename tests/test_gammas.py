@@ -114,6 +114,23 @@ def test_json_dict_schema(three_pairs):
     assert row["pair_id"] == "1"
 
 
+def test_json_dict_rows_match_the_arrays_elementwise():
+    gaps = np.random.default_rng(9).uniform(0.0, 2.0, 50)
+    ids = tuple(f"p{i}" for i in range(50))
+    for schedule in (
+        schedule_from_gamma_bar_gaps(1.7, gaps, ids),
+        schedule_from_bounds(1.0 + gaps),
+    ):
+        rows = schedule.to_json_dict()["per_pair"]
+        for i, row in enumerate(rows):
+            assert row == {
+                "pair_id": schedule.pair_ids[i] if schedule.pair_ids else str(i + 1),
+                "gap": None if schedule.gaps is None else float(schedule.gaps[i]),
+                "Gamma_i": float(schedule.gamma_i[i]),
+                "p_plus": float(schedule.p_plus[i]),
+            }
+
+
 def test_larger_bounds_push_p_plus_toward_one():
     schedule = schedule_from_bounds([1.0, 4.0, 100.0])
     assert np.all(np.diff(schedule.p_plus) > 0)

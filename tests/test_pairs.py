@@ -97,6 +97,13 @@ def test_identity_and_log_links(three_pairs):
     )
 
 
+def test_identity_link_fails_only_on_a_nan_dose():
+    ident = DoseLink()
+    ident.validate_on(np.array([3.0, 1.0, 2.0, 1.0, -np.inf]))
+    with pytest.raises(DataError, match="not strictly monotone"):
+        ident.validate_on(np.array([0.0, np.nan, 1.0]))
+
+
 def test_table_link_lookup_and_monotonicity():
     link = DoseLink(kind="table", table=((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)))
     sample = sample_from_arrays([0.0], [2.0], [0.0], [1.0])

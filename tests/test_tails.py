@@ -6,6 +6,8 @@ for bit (``np.array_equal``, no tolerance): it adds the same two products per
 support point in the same order.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,44 @@ def test_uniform_blocks_concatenate_to_one_draw_per_chunk(reps):
         for c, start in enumerate(range(0, reps, tails.MC_CHUNK))
     ]
     assert np.array_equal(np.concatenate(blocks), np.concatenate(chunks))
+
+
+# ---------------------------------------------------------------- normal --
+# SciPy is the oracle here only; the package itself does not import it.
+
+
+def _normal_grid():
+    rng = np.random.default_rng(7)
+    return np.concatenate([
+        np.linspace(-37.0, 37.0, 20_001),
+        rng.uniform(-37.0, 37.0, 20_000),
+        np.linspace(19.0, 21.0, 2_001),  # both sides of the series switch
+        np.geomspace(1e-300, 1e6, 5_000),
+        -np.geomspace(1e-300, 37.0, 5_000),
+        [0.0, -0.0, 20.0, 1e6],
+    ])
+
+
+def test_normal_sf_is_math_erfc_and_matches_scipy():
+    from scipy import special
+
+    zs = _normal_grid()
+    zs = zs[np.abs(zs) <= 37.0]
+    got = np.array([tails.normal_sf(float(z)) for z in zs])
+    assert np.array_equal(got, [0.5 * math.erfc(float(z) / math.sqrt(2.0)) for z in zs])
+    want = 0.5 * special.erfc(zs / math.sqrt(2.0))
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_normal_logsf_matches_scipy_log_ndtr():
+    from scipy import special
+
+    zs = _normal_grid()
+    got = np.array([tails.normal_logsf(float(z)) for z in zs])
+    want = special.log_ndtr(-zs)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # far below the mean both round to exactly 0; far above, both reach -inf
+    for z in (-38.5, -40.0, -1e6, -math.inf):
+        assert tails.normal_logsf(z) == special.log_ndtr(-z) == 0.0
+    assert tails.normal_logsf(math.inf) == special.log_ndtr(-math.inf) == -math.inf
