@@ -316,7 +316,7 @@ def bahadur_slope(
     gamma_bar_star, positive below it, and an error above it.
     """
     gamma_bar = float(gamma_bar)
-    if gamma_bar < 1.0:
+    if not gamma_bar >= 1.0:
         raise ConfigError("gamma_bar must be >= 1")
     gaps, concordant, phi = _population_components(dgp, stream)
     mu = float((phi * concordant).mean())

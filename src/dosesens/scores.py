@@ -44,15 +44,45 @@ def rank(values, ties: str = "average") -> np.ndarray:
     return shared[inverse].astype(float)
 
 
+_STRICT_TIES = "tied absolute differences under ties='strict'"
+
+
 def rank_abs(values, ties: str = "midrank") -> np.ndarray:
     """Ranks of |values|; ties get mid-ranks, or raise in strict mode."""
     values = np.abs(np.asarray(values, dtype=float))
     if ties == "strict":
         if np.unique(values).size != values.size:
-            raise DataError("tied absolute differences under ties='strict'")
+            raise DataError(_STRICT_TIES)
     elif ties != "midrank":
         raise ConfigError(f"unknown tie rule {ties!r}")
     return rank(values)
+
+
+def midranks(values) -> tuple:
+    """``rank`` of every row of a 2-d array, and whether each row has ties.
+
+    Each row is sorted once and each block of equal values gets the mean of
+    the ranks it spans: the same exact half-integers as ``rank``, bit for
+    bit.  NaNs form one block, as they do in ``np.unique``.
+    """
+    values = np.asarray(values, dtype=float)
+    n_rows, n = values.shape
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    nan = np.isnan(ordered)
+    same = (ordered[:, 1:] == ordered[:, :-1]) | (nan[:, 1:] & nan[:, :-1])
+    edge = np.zeros((n_rows, 1), dtype=bool)
+    index = np.arange(n)
+    # each position's block spans first..last of the sorted row
+    first = np.maximum.accumulate(
+        np.where(np.hstack([edge, same]), 0, index), axis=1
+    )
+    last = np.minimum.accumulate(
+        np.where(np.hstack([same, edge]), n - 1, index)[:, ::-1], axis=1
+    )[:, ::-1]
+    ranks = np.empty_like(values)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=1)
+    return ranks, same.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -116,19 +146,15 @@ def _compute_scores(spec, abs_dose_diff, rank_z, rank_y):
     return q
 
 
-def score_from_arrays(z1, z2, y1, y2, spec: ScoreSpec, pair_ids=None) -> ScoredSample:
-    """Score pairs given as parallel per-unit arrays."""
-    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in (z1, z2, y1, y2))
-    dose_diff = z1 - z2
-    outcome_diff = y1 - y2
+def _check_doses(dose_diff) -> None:
     if np.any(dose_diff == 0):
         raise DataError("tied doses within a pair")
-    product = dose_diff * outcome_diff
-    concordant = product > 0
-    zero_diff = outcome_diff == 0.0
 
-    rank_z = rank_abs(dose_diff, ties=spec.ties)
-    rank_y = rank_abs(outcome_diff, ties=spec.ties)
+
+def _ranked_scores(spec, dose_diff, outcome_diff, rank_z, rank_y, pair_ids=None):
+    """The scored sample, once both rank vectors are taken."""
+    concordant = dose_diff * outcome_diff > 0
+    zero_diff = outcome_diff == 0.0
     n = rank_y.size
     if spec.normalize_ranks:
         rank_z = rank_z / n
@@ -149,6 +175,34 @@ def score_from_arrays(z1, z2, y1, y2, spec: ScoreSpec, pair_ids=None) -> ScoredS
         kind=spec.kind,
         pair_ids=tuple(pair_ids) if pair_ids is not None else None,
     )
+
+
+def score_from_arrays(z1, z2, y1, y2, spec: ScoreSpec, pair_ids=None) -> ScoredSample:
+    """Score pairs given as parallel per-unit arrays."""
+    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in (z1, z2, y1, y2))
+    dose_diff = z1 - z2
+    outcome_diff = y1 - y2
+    _check_doses(dose_diff)
+    rank_z = rank_abs(dose_diff, ties=spec.ties)
+    rank_y = rank_abs(outcome_diff, ties=spec.ties)
+    return _ranked_scores(spec, dose_diff, outcome_diff, rank_z, rank_y, pair_ids)
+
+
+def score_rows(dose_diff, outcome_diff, spec: ScoreSpec):
+    """``score_from_arrays`` of every row of stacked (R, n) pair differences.
+
+    The ranks of all rows are taken at once (:func:`midranks`); the rows are
+    then checked and scored one at a time, lazily, so a row that fails
+    raises its error only when it is reached.  A general ``phi`` sees one
+    row's 1-d rank vectors, as it does in ``score_from_arrays``.
+    """
+    rank_z, tied_z = midranks(np.abs(dose_diff))
+    rank_y, tied_y = midranks(np.abs(outcome_diff))
+    for r in range(len(dose_diff)):
+        _check_doses(dose_diff[r])
+        if spec.ties == "strict" and (tied_z[r] or tied_y[r]):
+            raise DataError(_STRICT_TIES)
+        yield _ranked_scores(spec, dose_diff[r], outcome_diff[r], rank_z[r], rank_y[r])
 
 
 def score(sample: MatchedSample, spec: ScoreSpec) -> ScoredSample:

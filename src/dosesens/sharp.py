@@ -33,6 +33,21 @@ DEFAULT_MC_REPS = 100_000
 EXACT_PAIR_LIMIT = 25
 
 
+def _check_bound(q, p) -> None:
+    if np.any(q < 0):
+        raise DataError("bounding weights must be nonnegative")
+    if np.any((p <= 0) | (p >= 1)):
+        raise DataError("success probabilities must lie strictly in (0, 1)")
+
+
+def _normal_zscore(q, p, t: float) -> float:
+    """(t - mean) / sd of T_plus = sum_i q_i * B_i, B_i ~ Bernoulli(p_i)."""
+    var = float((q**2) @ (p * (1.0 - p)))
+    if var == 0.0:
+        raise DataError("bounding distribution is degenerate (zero variance)")
+    return (t - float(q @ p)) / math.sqrt(var)
+
+
 @dataclass(frozen=True)
 class BoundingDistribution:
     """The stochastic bound T_plus: weights q and success probabilities."""
@@ -45,37 +60,43 @@ class BoundingDistribution:
         p = np.asarray(self.p_success, dtype=float)
         if q.shape != p.shape or q.ndim != 1:
             raise ConfigError("q and p_success must be aligned 1-d vectors")
-        if np.any(q < 0):
-            raise DataError("bounding weights must be nonnegative")
-        if np.any((p <= 0) | (p >= 1)):
-            raise DataError("success probabilities must lie strictly in (0, 1)")
+        _check_bound(q, p)
         for name, arr in (("q", q), ("p_success", p)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def mean(self) -> float:
-        return float(self.q @ self.p_success)
-
-    @property
-    def variance(self) -> float:
-        return float((self.q**2) @ (self.p_success * (1.0 - self.p_success)))
-
-    def _zscore(self, t: float) -> float:
-        var = self.variance
-        if var == 0.0:
-            raise DataError("bounding distribution is degenerate (zero variance)")
-        return (t - self.mean) / math.sqrt(var)
-
     def normal_upper_tail(self, t: float) -> float:
-        return float(tails.normal_sf(self._zscore(t)))
+        return float(tails.normal_sf(_normal_zscore(self.q, self.p_success, t)))
 
     def normal_log_upper_tail(self, t: float) -> float:
         """log of the upper tail; safe far out in the tail."""
-        return float(tails.normal_logsf(self._zscore(t)))
+        return float(tails.normal_logsf(_normal_zscore(self.q, self.p_success, t)))
 
     def normal_lower_tail(self, t: float) -> float:
-        return float(tails.normal_sf(-self._zscore(t)))
+        return float(tails.normal_sf(-_normal_zscore(self.q, self.p_success, t)))
+
+
+def normal_p_greater(scored: ScoredSample, p_plus) -> list:
+    """Greater-side p-values of the normal route of :func:`worst_case_pvalue`,
+    one per row of ``p_plus`` (each row a schedule's ``p_plus``).
+
+    The arithmetic and checks are those of :class:`BoundingDistribution`,
+    without building one per row.  A row on which that route raises holds
+    the error instead, for the caller to raise when it reaches the row.
+    """
+    q, t = scored.q, scored.t_obs
+    if not np.any(q > 0):
+        return [1.0] * len(p_plus)
+    suspect = np.any((p_plus <= 0) | (p_plus >= 1), axis=1) | np.any(q < 0)
+    out = []
+    for p, check in zip(p_plus, suspect.tolist()):
+        try:
+            if check:
+                _check_bound(q, p)
+            out.append(float(tails.normal_sf(_normal_zscore(q, p, t))))
+        except DataError as exc:
+            out.append(exc)
+    return out
 
 
 def _check_alignment(scored: ScoredSample, schedule: GammaSchedule) -> None:

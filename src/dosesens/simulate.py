@@ -4,6 +4,18 @@ Every replicate runs the real analysis pipeline (score, calibrate the bias
 schedule, worst-case p-value); nothing is stubbed.  Replicate r draws its
 generator from ``(seed, stream, r)`` only, so results are reproducible and
 independent of chunking and worker count.
+
+Power curves and slopes work on chunks of ``CHUNK_REPS`` replicates.  A
+chunk stacks its replicates' pair differences and ranks them row-wise in one
+pass, and calibrates every (replicate, gamma_bar) schedule in one row-wise
+bisection; the tests then run replicate by replicate, on the normal route
+from ``p_plus`` built for a block of grid points at once.  Replicates, rows
+and grid points are taken in blocks, so that no temporary holds more than
+``gammas.ROW_BLOCK`` floats, whatever the replicate count, pair count and
+grid length (one replicate of more pairs than that is one block).  Each step
+reproduces the arithmetic of scoring, calibrating and testing one replicate
+at a time bit for bit, so curves and errors are those of the one-at-a-time
+loop kept in the tests.
 """
 
 from __future__ import annotations
@@ -16,12 +28,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dgps import DgpSpec
-from .errors import ConfigError
-from .gammas import schedule_from_gamma_bar_gaps
+from .errors import ConfigError, DoseSensError
+from .gammas import ROW_BLOCK, mean_bound_rows, schedule_from_gamma_bar_gaps
 from .pairs import sample_from_arrays
 from .rngs import STREAM_COVERAGE, STREAM_POWER, child_rng, child_seed_sequence
-from .scores import ScoreSpec, score_from_arrays
-from .sharp import BoundingDistribution, worst_case_pvalue
+from .scores import ScoreSpec, score_from_arrays, score_rows
+from .sharp import (
+    BoundingDistribution,
+    _resolve_method,
+    normal_p_greater,
+    worst_case_pvalue,
+)
 from .tails import binomial_se
 from .weaknull import SolverConfig, WeakNullProblem, two_sided_pvalue
 
@@ -48,25 +65,89 @@ def _map_chunks(fn, chunks, workers: int) -> list:
         return list(pool.map(fn, chunks))
 
 
-def _scored_rep(dgp, n_pairs, spec, seed, rep):
-    """Replicate ``rep``'s draw, scored, and its transformed dose gaps."""
-    z1, z2, y1, y2 = dgp.sample_pairs(child_rng(seed, STREAM_POWER, rep), n_pairs)
-    scored = score_from_arrays(z1, z2, y1, y2, spec)
-    return scored, np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
+def _replicate_blocks(dgp, n_pairs, spec, seed, start, count):
+    """Draw, score and link replicates ``start .. start + count - 1`` in
+    order, in blocks of at most ``ROW_BLOCK`` pairs in all.
+
+    Yields ``(replicates, failure)`` per block: ``(rep, scored, gaps)`` for
+    each replicate of the block before the first one that raises a package
+    error, and that error (None when none does).  The caller tests those
+    replicates before it raises the error, so a chunk fails with the error
+    that testing one replicate at a time would meet first.
+    """
+    step = max(1, ROW_BLOCK // max(n_pairs, 1))
+    for first in range(start, start + count, step):
+        drawn, replicates, failure = [], [], None
+        try:
+            for rep in range(first, min(first + step, start + count)):
+                z1, z2, y1, y2 = (
+                    np.asarray(v, dtype=float)
+                    for v in dgp.sample_pairs(child_rng(seed, STREAM_POWER, rep), n_pairs)
+                )
+                drawn.append((rep, z1, z2, z1 - z2, y1 - y2))
+        except DoseSensError as exc:
+            failure = exc
+        if drawn:
+            rows = score_rows(
+                np.stack([d[3] for d in drawn]), np.stack([d[4] for d in drawn]), spec
+            )
+            try:
+                for (rep, z1, z2, _, _), scored in zip(drawn, rows):
+                    gaps = np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
+                    replicates.append((rep, scored, gaps))
+            except DoseSensError as exc:
+                failure = exc
+        yield replicates, failure
+
+
+def _calibrated(replicates, grid):
+    """Every replicate's gamma at every grid point, by one row-wise bisection."""
+    if not replicates:
+        return None
+    return mean_bound_rows(grid, np.stack([gaps for _, _, gaps in replicates]))
 
 
 def _power_chunk(payload) -> list:
-    """Rejections at each grid point over one chunk of replicates."""
+    """Rejections at each grid point over one chunk of replicates.
+
+    Each block of replicates is drawn and ranked at once and calibrated by
+    one row-wise bisection.  Each replicate then builds ``p_plus`` for a
+    block of grid points at once and tests them in order: the normal route
+    computes only the greater-side p-value, the one a rejection reads, and
+    the exact and Monte Carlo routes run :func:`worst_case_pvalue`.
+    """
     dgp, n_pairs, grid, spec, alpha, method, mc_reps, seed, start, count = payload
     hits = [0] * len(grid)
-    for rep in range(start, start + count):
-        scored, gaps = _scored_rep(dgp, n_pairs, spec, seed, rep)
-        for j, gamma_bar in enumerate(grid):
-            schedule = schedule_from_gamma_bar_gaps(gamma_bar, gaps)
-            report = worst_case_pvalue(
-                scored, schedule, method=method, reps=mc_reps, seed=_mc_seed(seed, rep)
-            )
-            hits[j] += report.p_one_sided_greater < alpha
+    for replicates, failure in _replicate_blocks(dgp, n_pairs, spec, seed, start, count):
+        bounds = _calibrated(replicates, grid)
+        for r, (rep, scored, _) in enumerate(replicates):
+            step = max(1, ROW_BLOCK // max(scored.n_pairs, 1))
+            mc_seed = None
+            for j0 in range(0, len(grid), step):
+                p_plus, clean = bounds.p_plus(r, slice(j0, j0 + step))
+                normal = None
+                for k, j in enumerate(range(j0, j0 + len(clean))):
+                    if not clean[k]:
+                        bounds.schedule(r, j)  # raises what building it raises
+                    route = _resolve_method(method, scored)
+                    if route == "normal":
+                        if normal is None:
+                            normal = normal_p_greater(scored, p_plus)
+                        p_greater = normal[k]
+                        if isinstance(p_greater, Exception):
+                            raise p_greater
+                    else:
+                        # 'auto' falls back from exact to Monte Carlo on a
+                        # large support, so it may need the seed too
+                        if mc_seed is None and (route == "monte-carlo" or method == "auto"):
+                            mc_seed = _mc_seed(seed, rep)
+                        p_greater = worst_case_pvalue(
+                            scored, bounds.schedule(r, j), method=method, reps=mc_reps,
+                            seed=mc_seed,
+                        ).p_one_sided_greater
+                    hits[j] += p_greater < alpha
+        if failure is not None:
+            raise failure
     return hits
 
 
@@ -211,14 +292,17 @@ def power_curve(
 def _slope_chunk(payload):
     dgp, n_pairs, gamma_bar, spec, seed, start, count = payload
     out = []
-    for rep in range(start, start + count):
-        scored, gaps = _scored_rep(dgp, n_pairs, spec, seed, rep)
-        schedule = schedule_from_gamma_bar_gaps(gamma_bar, gaps)
-        upper = BoundingDistribution(q=scored.q, p_success=schedule.p_plus)
-        # log tail directly: at thousands of pairs the p-value itself
-        # underflows double precision long before the rate stabilises
-        log_p = upper.normal_log_upper_tail(scored.t_obs)
-        out.append(-log_p / scored.n_pairs)
+    for replicates, failure in _replicate_blocks(dgp, n_pairs, spec, seed, start, count):
+        bounds = _calibrated(replicates, [gamma_bar])
+        for r, (_, scored, _) in enumerate(replicates):
+            p_plus = bounds.schedule(r, 0).p_plus
+            upper = BoundingDistribution(q=scored.q, p_success=p_plus)
+            # log tail directly: at thousands of pairs the p-value itself
+            # underflows double precision long before the rate stabilises
+            log_p = upper.normal_log_upper_tail(scored.t_obs)
+            out.append(-log_p / scored.n_pairs)
+        if failure is not None:
+            raise failure
     return out
 
 

@@ -8,8 +8,11 @@ is meaningful.  The support-merging convolution is kept as the reference for
 the dense lattice convolution in dosesens.tails, which must match it bit for
 bit.  The bisections that solved the design-sensitivity and Bahadur slope
 equations are kept as references for the safeguarded Newton solves in
-dosesens.asymptotics, and the gamma_bar bisection as it evaluated the mean
-with ``ndarray.mean``, which dosesens.gammas must match bit for bit.
+dosesens.asymptotics.  The scalar gamma_bar bisection, evaluating the mean
+with ``ndarray.mean``, and the power loop that tested one replicate and
+grid point at a time are kept as references for the row-wise bisection and
+the batched power chunks, which must match them bit for bit and raise the
+same errors.
 """
 
 import itertools
@@ -22,8 +25,11 @@ from scipy import optimize, special
 from dosesens import tails
 from dosesens.asymptotics import DesignSensitivityResult, _population_components
 from dosesens.errors import ConfigError, DataError, SolverError
-from dosesens.gammas import MAX_EXPONENT
+from dosesens.gammas import MAX_EXPONENT, _schedule_from_gamma_gaps
 from dosesens.qclp import QclpResult
+from dosesens.rngs import STREAM_POWER, child_rng, child_seed_sequence
+from dosesens.scores import score_from_arrays
+from dosesens.sharp import worst_case_pvalue
 from dosesens.simulate import power_curve
 
 ENUMERATION_LIMIT = 25
@@ -453,13 +459,20 @@ def reference_slope_root(mu, phi, p_success, tol=1e-6):
 
 
 def reference_gamma_for_mean_bound(gamma_bar, gaps, tol=1e-10):
-    """gamma_bar = mean(exp(gamma * gap)) inverted by bisection, the mean
-    taken with ``ndarray.mean``."""
+    """gamma_bar = mean(exp(gamma * gap)) inverted by a scalar bisection, the
+    mean taken with ``ndarray.mean``, raising the package's errors."""
     target = float(gamma_bar)
+    if not target >= 1.0:
+        raise ConfigError("gamma_bar must be >= 1")
     gaps = np.asarray(gaps, dtype=float)
+    if np.any(gaps < 0):
+        raise DataError("dose gaps must be nonnegative")
     if target == 1.0:
         return 0.0
-    gamma_cap = MAX_EXPONENT / float(gaps.max(initial=0.0))
+    max_gap = float(gaps.max(initial=0.0))
+    if max_gap == 0.0:
+        raise DataError("all transformed dose gaps are zero; gamma_bar > 1 unreachable")
+    gamma_cap = MAX_EXPONENT / max_gap
 
     def mean_bound(g):
         return float(np.exp(g * gaps).mean())
@@ -471,7 +484,10 @@ def reference_gamma_for_mean_bound(gamma_bar, gaps, tol=1e-10):
         if hi > gamma_cap:
             hi = gamma_cap
             if mean_bound(hi) < target:
-                raise DataError("gamma_bar is beyond the exp() overflow guard")
+                raise DataError(
+                    f"gamma_bar={target:g} needs gamma > {gamma_cap:g}, beyond the "
+                    "exp() overflow guard; rescale the dose link"
+                )
             break
     for _ in range(_BISECT_ITER):
         mid = 0.5 * (lo + hi)
@@ -484,5 +500,31 @@ def reference_gamma_for_mean_bound(gamma_bar, gaps, tol=1e-10):
             hi = mid
     mid = 0.5 * (lo + hi)
     if abs(mean_bound(mid) - target) > tol * target:
-        raise SolverError("gamma_bar bisection failed to converge")
+        raise SolverError(
+            f"gamma_bar={target:g} not reached within {_BISECT_ITER} bisection steps"
+        )
     return mid
+
+
+def reference_power_hits(
+    dgp, n_pairs, grid, spec, alpha=0.05, reps=200, seed=0, method="normal",
+    mc_reps=10_000,
+):
+    """Rejections at each grid point, testing one replicate and grid point at
+    a time with the full two-sided report, as power_curve did before its
+    chunks were batched."""
+    hits = [0] * len(grid)
+    for rep in range(reps):
+        z1, z2, y1, y2 = dgp.sample_pairs(child_rng(seed, STREAM_POWER, rep), n_pairs)
+        scored = score_from_arrays(z1, z2, y1, y2, spec)
+        gaps = np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
+        for j, gamma_bar in enumerate(grid):
+            schedule = _schedule_from_gamma_gaps(
+                reference_gamma_for_mean_bound(gamma_bar, gaps), gaps
+            )
+            mc_seed = child_seed_sequence(seed, STREAM_POWER, rep, 1).generate_state(1)
+            report = worst_case_pvalue(
+                scored, schedule, method=method, reps=mc_reps, seed=int(mc_seed[0])
+            )
+            hits[j] += report.p_one_sided_greater < alpha
+    return hits

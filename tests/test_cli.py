@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -265,3 +266,26 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only power-sim and the slope estimate with --workers > 1 open a pool
     assert _loaded_by_cli_import("concurrent.futures.process") == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "tests/golden/pairs_60.csv", "--method", "exact", "--gamma-bar", "nan"),
+        ("weak-null", "tests/golden/pairs_x1.csv", "--gamma-bar", "nan", "--lambda0", "0.5"),
+        ("power-sim", "--gamma-bar-grid", "nan,1.5", "--n-pairs", "30", "--reps", "200",
+         "--seed", "1"),
+        ("bahadur", "--draws", "10000", "--gamma-bar", "nan", "--seed", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nan_mean_bound_is_a_config_error(argv, capsys):
+    # NaN fails every comparison, so a "< 1" check once let it through to a
+    # bisection that drifted to gamma = 0
+    root = Path(__file__).parent.parent
+    argv = [str(root / a) if a.endswith(".csv") else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"code": "config-error", "message": "gamma_bar must be >= 1"}

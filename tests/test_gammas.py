@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dosesens.errors import ConfigError, DataError
+from dosesens import gammas
+from dosesens.errors import ConfigError, DataError, SolverError
 from dosesens.gammas import (
     GammaSchedule,
     build_schedule,
     gamma_for_mean_bound,
+    mean_bound_rows,
     schedule_from_bounds,
     schedule_from_gamma,
     schedule_from_gamma_bar,
@@ -165,3 +167,108 @@ def test_mean_bound_inversion_is_bit_identical_to_reference(n):
             gamma_for_mean_bound(beyond, gaps)
         with pytest.raises(DataError):
             reference_gamma_for_mean_bound(beyond, gaps)
+
+
+def _outcome(solve, *args):
+    """A solver's value, or the class and message of what it raises."""
+    try:
+        return solve(*args)
+    except (ConfigError, DataError, SolverError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_instance(rng):
+    """Gap rows and targets that reach every branch of the bisection."""
+    n = int(rng.integers(1, 400))
+    rows = int(rng.integers(1, 3))
+    kind = rng.integers(0, 6)
+    if kind == 0:
+        gaps = rng.uniform(0.0, 3.0, (rows, n))
+    elif kind == 1:  # tied and zero gaps
+        gaps = np.round(rng.uniform(0.0, 2.0, (rows, n)) * 2.0) / 2.0
+    elif kind == 2:  # tiny gaps: gamma far above 1, many doublings
+        gaps = rng.uniform(0.0, 1e-3, (rows, n))
+    elif kind == 3:  # huge gaps: the exp() cap lies below 1
+        gaps = rng.uniform(0.0, 3000.0, (rows, n))
+    elif kind == 4:  # a row of zero gaps among others
+        gaps = rng.uniform(0.0, 3.0, (rows, n))
+        gaps[rng.integers(0, rows)] = 0.0
+    else:
+        gaps = np.abs(rng.normal(0.0, 0.2, (rows, n)))
+    row = gaps[0]
+    cap = 700.0 / row.max() if row.max() > 0 else 1.0
+    pool = [
+        1.0, 1.0 + 1e-9, 1.0 + rng.exponential(0.5), 1.0 + rng.exponential(5.0),
+        float(np.exp(rng.uniform(0.0, 0.99) * cap * row).mean()),
+        2.0 * float(np.exp(cap * row).mean()),
+        float(rng.uniform(0.0, 1.0)), float("nan"), float("inf"),
+    ]
+    targets = [pool[i] for i in rng.integers(0, len(pool), rng.integers(1, 8))]
+    return gaps, targets
+
+
+def test_row_wise_inversion_matches_the_scalar_bisection_bit_for_bit():
+    # every (row, target) pair gets the reference's gamma bit for bit, or the
+    # same error class and message
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(3000):
+        gaps, targets = _random_instance(rng)
+        tol = (1e-10, 1e-12)[int(rng.integers(0, 2))]
+        with np.errstate(over="ignore"):
+            rows = mean_bound_rows(targets, gaps, tol=tol)
+        for s, row in enumerate(gaps):
+            for j, target in enumerate(targets):
+                got = _outcome(rows.value, s, j)
+                want = _outcome(reference_gamma_for_mean_bound, target, row, tol)
+                assert got == want, (s, j, target, row.size)
+                seen.add(type(got) if isinstance(got, float) else got[0])
+    assert seen == {float, ConfigError, DataError}
+
+
+@pytest.mark.parametrize(
+    "target,gaps",
+    [
+        (0.99, [1.0, 2.0]),
+        (float("nan"), [1.0, 2.0]),
+        (1.5, [0.0, 0.0, 0.0]),
+        (1e305, [1.0, 2.0]),
+        (float("inf"), [1.0, 2.0]),
+        (1.5, [1.0, -0.5]),
+    ],
+)
+def test_inversion_errors_match_the_scalar_bisection(target, gaps):
+    want = _outcome(reference_gamma_for_mean_bound, target, np.array(gaps))
+    assert isinstance(want, tuple)
+    assert _outcome(gamma_for_mean_bound, target, np.array(gaps)) == want
+    with pytest.raises(want[0]) as err:
+        schedule_from_gamma_bar_gaps(target, gaps)
+    assert str(err.value) == want[1]
+
+
+def test_nan_mean_bound_is_a_config_error():
+    with pytest.raises(ConfigError, match="gamma_bar must be >= 1"):
+        gamma_for_mean_bound(float("nan"), np.array([1.0, 2.0]))
+
+
+def test_row_blocks_do_not_change_the_roots(monkeypatch):
+    rng = np.random.default_rng(5)
+    gaps = rng.uniform(0.0, 3.0, (9, 40))
+    targets = [1.0, 1.3, 2.0, 7.5, 0.5]
+    whole = mean_bound_rows(targets, gaps)
+    monkeypatch.setattr(gammas, "ROW_BLOCK", 100)
+    blocked = mean_bound_rows(targets, gaps)
+    np.testing.assert_array_equal(blocked.gamma, whole.gamma)
+    np.testing.assert_array_equal(blocked.status, whole.status)
+
+
+def test_p_plus_rows_equal_each_schedule():
+    rng = np.random.default_rng(6)
+    gaps = rng.uniform(0.0, 3.0, (2, 30))
+    rows = mean_bound_rows([1.0, 1.4, 0.5, 3.0], gaps)
+    p_plus, clean = rows.p_plus(1, slice(0, 4))
+    assert clean.tolist() == [True, True, False, True]
+    for j in (0, 1, 3):
+        np.testing.assert_array_equal(p_plus[j], rows.schedule(1, j).p_plus)
+    with pytest.raises(ConfigError):
+        rows.schedule(1, 2)

@@ -8,11 +8,13 @@ from dosesens.errors import ConfigError, DataError
 from dosesens.pairs import sample_from_arrays
 from dosesens.scores import (
     ScoreSpec,
+    midranks,
     parse_phi_expression,
     rank,
     rank_abs,
     score,
     score_from_arrays,
+    score_rows,
 )
 
 from conftest import random_sample
@@ -206,3 +208,61 @@ def test_rank_matches_scipy_on_ties(ties):
     ):
         expected = rankdata(values, method=ties).astype(float)
         assert np.array_equal(rank(values, ties=ties), expected)
+
+
+def _tie_rows(rng, n_rows, n):
+    """Rows with ties, zeros, infinities and NaNs among continuous values."""
+    rows = np.round(rng.normal(0.0, 2.0, (n_rows, n)) * rng.choice([1.0, 4.0]), 1)
+    specials = rng.random((n_rows, n))
+    rows[specials < 0.05] = 0.0
+    rows[specials > 0.97] = np.nan
+    rows[(specials > 0.95) & (specials <= 0.97)] = np.inf
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 301])
+def test_row_wise_midranks_equal_rank_abs_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for rows in (_tie_rows(rng, 9, n), rng.normal(0.0, 1.0, (9, n))):
+        ranks, tied = midranks(np.abs(rows))
+        for row, got, has_ties in zip(rows, ranks, tied):
+            np.testing.assert_array_equal(got, rank_abs(row))
+            assert has_ties == (np.unique(np.abs(row)).size != n)
+
+
+_ROW_SPECS = [
+    ScoreSpec(kind="mcnemar"),
+    ScoreSpec(kind="wilcoxon"),
+    ScoreSpec(kind="dose-weighted-abs"),
+    ScoreSpec(kind="double-rank"),
+    ScoreSpec(kind="general", phi=parse_phi_expression("sqrt(r_z * r_y) + r_y")),
+    ScoreSpec(kind="double-rank", normalize_ranks=True),
+]
+
+
+@pytest.mark.parametrize("spec", _ROW_SPECS, ids=lambda s: f"{s.kind}-{s.normalize_ranks}")
+def test_score_rows_equal_score_from_arrays(spec):
+    rng = np.random.default_rng(3)
+    z1 = rng.uniform(0.0, 3.0, (6, 25))
+    z2 = z1 + np.round(rng.uniform(-2.0, 2.0, (6, 25)), 1) + 0.05
+    y1, y2 = np.round(rng.normal(0.0, 1.0, (2, 6, 25)), 1)
+    rows = list(score_rows(z1 - z2, y1 - y2, spec))
+    assert len(rows) == 6
+    for r, got in enumerate(rows):
+        want = score_from_arrays(z1[r], z2[r], y1[r], y2[r], spec)
+        for name in ("q", "concordant", "zero_diff", "rank_z", "rank_y"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.t_obs == want.t_obs
+        assert got.kind == want.kind
+
+
+def test_score_rows_raise_at_the_failing_row():
+    dose = np.array([[1.0, 2.0, 3.0], [1.0, 0.0, 2.0]])
+    outcome = np.array([[1.0, 2.0, 2.0], [1.0, 2.0, 3.0]])
+    rows = score_rows(dose, outcome, ScoreSpec(kind="wilcoxon", ties="strict"))
+    with pytest.raises(DataError, match="tied absolute differences"):
+        next(rows)
+    rows = score_rows(dose, outcome, ScoreSpec(kind="wilcoxon"))
+    assert next(rows).t_obs == 6.0
+    with pytest.raises(DataError, match="tied doses"):
+        next(rows)

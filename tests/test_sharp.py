@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dosesens.errors import ConfigError
+from dosesens.errors import ConfigError, DataError
 from dosesens.gammas import schedule_from_bounds, schedule_from_gamma_bar_gaps
 from dosesens.pairs import DoseLink, sample_from_arrays
 from dosesens.scores import ScoreSpec, score, score_from_arrays
-from dosesens.sharp import confidence_region, worst_case_pvalue
+from dosesens.sharp import confidence_region, normal_p_greater, worst_case_pvalue
 
 from conftest import random_sample
 
@@ -243,3 +243,28 @@ def test_multiparameter_model_needs_grid(three_pairs):
         confidence_region(
             three_pairs, ScoreSpec(), gamma_bar=1.0, model_kind="kink"
         )
+
+
+def test_normal_p_greater_rows_equal_worst_case_pvalue_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for spec in (ScoreSpec(kind="wilcoxon"), ScoreSpec(kind="dose-weighted-abs")):
+        scored = score(random_sample(rng, 150, effect=0.3), spec)
+        gaps = rng.uniform(0.25, 2.0, 150)
+        schedules = [schedule_from_gamma_bar_gaps(g, gaps) for g in (1.0, 1.3, 2.5)]
+        rows = normal_p_greater(scored, np.stack([s.p_plus for s in schedules]))
+        for got, schedule in zip(rows, schedules):
+            want = worst_case_pvalue(scored, schedule, method="normal")
+            assert got == want.p_one_sided_greater
+
+
+def test_normal_p_greater_rows_hold_the_errors_the_report_raises():
+    scored = score_from_arrays([1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0],
+                               ScoreSpec(kind="wilcoxon"))
+    rows = normal_p_greater(scored, np.array([[0.5, 0.6], [0.5, 1.0]]))
+    assert isinstance(rows[0], float)
+    with pytest.raises(DataError) as err:
+        worst_case_pvalue(scored, schedule_from_bounds([1.0, 1e17]), method="normal")
+    assert type(rows[1]) is DataError and str(rows[1]) == str(err.value)
+    zero = score_from_arrays([1.0], [0.0], [1.0], [0.0],
+                             ScoreSpec(kind="general", phi=lambda r_z, r_y: 0.0 * r_y))
+    assert normal_p_greater(zero, np.array([[0.5], [0.9]])) == [1.0, 1.0]

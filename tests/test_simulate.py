@@ -1,13 +1,19 @@
 """Power, slope-rate, and coverage simulations: determinism and calibration."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dosesens import gammas, simulate
 from dosesens.dgps import DgpSpec
 from dosesens.errors import ConfigError
-from dosesens.scores import ScoreSpec
+from dosesens.gammas import _schedule_from_gamma_gaps
+from dosesens.pairs import DoseLink
+from dosesens.rngs import STREAM_POWER, child_rng
+from dosesens.scores import ScoreSpec, parse_phi_expression, score_from_arrays
+from dosesens.sharp import BoundingDistribution
 from dosesens.simulate import (
     PowerCurve,
     PowerEstimate,
@@ -21,7 +27,11 @@ from dosesens.simulate import (
     write_power_csv,
 )
 
-from oracles import empirical_crossing
+from oracles import (
+    empirical_crossing,
+    reference_gamma_for_mean_bound,
+    reference_power_hits,
+)
 
 WILCOXON = ScoreSpec(kind="wilcoxon")
 
@@ -201,3 +211,180 @@ def test_write_power_csv_round_trips_floats(tmp_path):
     assert len(rows) == 3
     got = [float(r.split(",")[1]) for r in rows[1:]]
     assert got == [est.power for est in curve.estimates]
+
+
+# ------------------------------------------------- batched power chunks --
+
+_SPECS = [
+    ScoreSpec(kind="mcnemar"),
+    WILCOXON,
+    ScoreSpec(kind="double-rank"),
+    ScoreSpec(kind="dose-weighted-abs"),
+    ScoreSpec(kind="general", phi=parse_phi_expression("sqrt(r_z * r_y) + r_y")),
+    ScoreSpec(kind="wilcoxon", normalize_ranks=True),
+]
+_GRID = [1.0, 1.3, 2.0]
+
+
+def _hits(curve):
+    return [e.rejections for e in curve.estimates]
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a power computation returns as rejections, or the class and
+    message of what it raises."""
+    try:
+        out = fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+    return _hits(out) if isinstance(out, PowerCurve) else out
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=lambda s: f"{s.kind}-{s.normalize_ranks}")
+def test_power_curve_equals_the_reference_loop_for_every_score(spec):
+    dgp = effect_dgp(0.4)
+    kwargs = dict(reps=203, seed=41, method="normal")
+    curve = power_curve(dgp, 40, _GRID, spec, **kwargs)
+    assert _hits(curve) == reference_power_hits(dgp, 40, _GRID, spec, **kwargs)
+    assert len(set(_hits(curve))) > 1
+
+
+@pytest.mark.parametrize(
+    "method,n_pairs,workers",
+    [
+        ("normal", 120, 2),
+        ("exact", 12, 1),
+        ("exact", 12, 2),
+        ("monte-carlo", 30, 1),
+        ("mc", 30, 2),
+        ("auto", 20, 1),
+        ("auto", 40, 1),
+        ("auto", 120, 1),
+    ],
+)
+def test_power_curve_equals_the_reference_loop_for_every_method(method, n_pairs, workers):
+    dgp = effect_dgp(0.6)
+    kwargs = dict(reps=203, seed=43, method=method, mc_reps=1000)
+    curve = power_curve(dgp, n_pairs, _GRID, WILCOXON, workers=workers, **kwargs)
+    assert _hits(curve) == reference_power_hits(dgp, n_pairs, _GRID, WILCOXON, **kwargs)
+
+
+@pytest.mark.parametrize("link", [DoseLink(), DoseLink(kind="log")], ids=lambda l: l.kind)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_power_curve_equals_the_reference_loop_for_both_links(link, workers):
+    dgp = DgpSpec(
+        sampler="paired-normal",
+        params={"effect": 0.6, "dose_low": 0.5, "dose_high": 3.0},
+        link=link,
+        mc_draws=10_000,
+    )
+    spec = ScoreSpec(kind="double-rank")
+    curve = power_curve(dgp, 50, _GRID, spec, reps=203, seed=47, workers=workers)
+    assert _hits(curve) == reference_power_hits(dgp, 50, _GRID, spec, reps=203, seed=47)
+
+
+def test_general_phi_sees_one_replicate_row_at_a_time():
+    shapes = []
+
+    def phi(r_z, r_y):
+        shapes.append((r_z.shape, r_y.shape))
+        return r_z * r_y
+
+    spec = ScoreSpec(kind="general", phi=phi)
+    power_curve(effect_dgp(), 30, [1.0, 1.5], spec, reps=203, seed=3)
+    assert shapes == [((30,), (30,))] * 203
+
+
+def _sometimes_tied(rng, n):
+    # continuous draws, with one tied dose pair in about one replicate in ten
+    z1, z2 = rng.uniform(0.5, 3.0, (2, n))
+    y1, y2 = rng.normal(0.0, 1.0, (2, n)) + 0.5 * np.stack([z1, z2])
+    if rng.random() < 0.1:
+        z2[0] = z1[0]
+    return z1, z2, y1, y2
+
+
+def _sometimes_nonpositive(rng, n):
+    z1, z2 = rng.uniform(-0.02, 3.0, (2, n))
+    return z1, z2, rng.normal(0.0, 1.0, n), rng.normal(0.0, 1.0, n)
+
+
+def _rounded_outcomes(rng, n):
+    z1, z2 = rng.uniform(0.5, 3.0, (2, n))
+    return z1, z2, np.round(rng.normal(0.0, 1.0, n), 2), np.round(rng.normal(0.0, 1.0, n), 2)
+
+
+_CUSTOM = dict(mc_draws=10_000)
+
+
+@pytest.mark.parametrize(
+    "dgp,grid,spec,message",
+    [
+        (DgpSpec(sampler=_sometimes_tied, **_CUSTOM), [1.2], WILCOXON, "tied doses"),
+        (DgpSpec(sampler=_sometimes_tied, **_CUSTOM), [1.2, float("nan")], WILCOXON,
+         "gamma_bar must be >= 1"),
+        (effect_dgp(), [1.5], ScoreSpec(kind="general", phi=lambda r_z, r_y: r_y - 1.5),
+         "nonnegative"),
+        (effect_dgp(), [1.5],
+         ScoreSpec(kind="general", phi=lambda r_z, r_y: np.where(r_y > 1, r_y, np.inf)),
+         "finite"),
+        (effect_dgp(), [1.5, 1e20], WILCOXON, "strictly in (0, 1)"),
+        (DgpSpec(sampler=_sometimes_nonpositive, link=DoseLink(kind="log"), **_CUSTOM),
+         [1.5], WILCOXON, "strictly positive doses"),
+        (DgpSpec(sampler=_rounded_outcomes, **_CUSTOM), [1.5],
+         ScoreSpec(kind="wilcoxon", ties="strict"), "tied absolute differences"),
+    ],
+)
+def test_power_curve_raises_what_the_reference_loop_raises_first(dgp, grid, spec, message):
+    kwargs = dict(reps=203, seed=53)
+    got = _outcome(power_curve, dgp, 40, grid, spec, **kwargs)
+    assert got == _outcome(reference_power_hits, dgp, 40, grid, spec, **kwargs)
+    assert message in got[1]
+
+
+@pytest.mark.parametrize(
+    "dgp,grid",
+    [
+        (effect_dgp(0.5), _GRID),
+        (DgpSpec(sampler=_sometimes_tied, **_CUSTOM), [1.2]),
+        (DgpSpec(sampler=_sometimes_tied, **_CUSTOM), [1.2, float("nan")]),
+    ],
+)
+def test_small_blocks_do_not_change_the_curve_or_its_error(dgp, grid, monkeypatch):
+    # 100 floats per block: blocks of two replicates, two grid points and
+    # two bisection rows, so every loop over blocks takes several turns
+    monkeypatch.setattr(simulate, "ROW_BLOCK", 100)
+    monkeypatch.setattr(gammas, "ROW_BLOCK", 100)
+    kwargs = dict(reps=203, seed=59)
+    got = _outcome(power_curve, dgp, 40, grid, WILCOXON, **kwargs)
+    assert got == _outcome(reference_power_hits, dgp, 40, grid, WILCOXON, **kwargs)
+
+
+def test_power_curve_memory_stays_bounded_on_a_long_grid():
+    # a chunk holds 32 replicates x 2,000 grid points x 200 pairs = 12.8M
+    # floats (98 MB) if any temporary spans the whole chunk
+    grid = np.linspace(1.0, 2.0, 2000)
+    tracemalloc.start()
+    try:
+        curve = power_curve(effect_dgp(0.5), 200, grid, WILCOXON, reps=200, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(curve.estimates) == 2000
+    assert peak < 64 * 2**20
+
+
+def test_empirical_slope_equals_the_one_replicate_loop():
+    dgp = effect_dgp(0.8)
+    est = empirical_slope(dgp, n_pairs=60, gamma_bar=1.4, spec=WILCOXON, reps=40, seed=13)
+    rates = []
+    for rep in range(40):
+        z1, z2, y1, y2 = dgp.sample_pairs(child_rng(13, STREAM_POWER, rep), 60)
+        scored = score_from_arrays(z1, z2, y1, y2, WILCOXON)
+        gaps = np.abs(z1 - z2)
+        p_plus = _schedule_from_gamma_gaps(
+            reference_gamma_for_mean_bound(1.4, gaps), gaps
+        ).p_plus
+        upper = BoundingDistribution(q=scored.q, p_success=p_plus)
+        rates.append(-upper.normal_log_upper_tail(scored.t_obs) / 60)
+    assert est.rate == float(np.mean(rates))
