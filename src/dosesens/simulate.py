@@ -67,7 +67,10 @@ def _map_chunks(fn, chunks, workers: int) -> list:
 
 def _replicate_blocks(dgp, n_pairs, spec, seed, start, count):
     """Draw, score and link replicates ``start .. start + count - 1`` in
-    order, in blocks of at most ``ROW_BLOCK`` pairs in all.
+    order, in blocks of at most ``ROW_BLOCK / 16`` pairs in all: about
+    sixteen arrays of a block's shape are alive at once (draws, differences,
+    ranks and their sort order, scores), so all of them together stay
+    within ``ROW_BLOCK`` floats.
 
     Yields ``(replicates, failure)`` per block: ``(rep, scored, gaps)`` for
     each replicate of the block before the first one that raises a package
@@ -75,7 +78,7 @@ def _replicate_blocks(dgp, n_pairs, spec, seed, start, count):
     replicates before it raises the error, so a chunk fails with the error
     that testing one replicate at a time would meet first.
     """
-    step = max(1, ROW_BLOCK // max(n_pairs, 1))
+    step = max(1, ROW_BLOCK // (16 * max(n_pairs, 1)))
     for first in range(start, start + count, step):
         drawn, replicates, failure = [], [], None
         try:

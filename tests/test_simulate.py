@@ -351,8 +351,8 @@ def test_power_curve_raises_what_the_reference_loop_raises_first(dgp, grid, spec
     ],
 )
 def test_small_blocks_do_not_change_the_curve_or_its_error(dgp, grid, monkeypatch):
-    # 100 floats per block: blocks of two replicates, two grid points and
-    # two bisection rows, so every loop over blocks takes several turns
+    # 100 floats per block: blocks of one replicate, two grid points and two
+    # bisection rows, so every loop over blocks takes several turns
     monkeypatch.setattr(simulate, "ROW_BLOCK", 100)
     monkeypatch.setattr(gammas, "ROW_BLOCK", 100)
     kwargs = dict(reps=203, seed=59)
@@ -360,17 +360,22 @@ def test_small_blocks_do_not_change_the_curve_or_its_error(dgp, grid, monkeypatc
     assert got == _outcome(reference_power_hits, dgp, 40, grid, WILCOXON, **kwargs)
 
 
-def test_power_curve_memory_stays_bounded_on_a_long_grid():
-    # a chunk holds 32 replicates x 2,000 grid points x 200 pairs = 12.8M
-    # floats (98 MB) if any temporary spans the whole chunk
-    grid = np.linspace(1.0, 2.0, 2000)
+@pytest.mark.parametrize(
+    "n_pairs,grid",
+    [(200, np.linspace(1.0, 2.0, 2000)), (20_000, [1.5])],
+    ids=["long-grid", "many-pairs"],
+)
+def test_power_curve_memory_stays_bounded(n_pairs, grid):
+    # a whole chunk of 32 replicates spans 32 x 2,000 grid points x 200
+    # pairs = 12.8M floats (98 MB) on the long grid, and its sixteen or so
+    # live arrays of 32 x 20,000 pairs take 82 MB on the many pairs
     tracemalloc.start()
     try:
-        curve = power_curve(effect_dgp(0.5), 200, grid, WILCOXON, reps=200, seed=3)
+        curve = power_curve(effect_dgp(0.5), n_pairs, grid, WILCOXON, reps=200, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(curve.estimates) == 2000
+    assert len(curve.estimates) == len(grid)
     assert peak < 64 * 2**20
 
 
