@@ -85,6 +85,15 @@ CASES = {
         "--objective", "expectation",
     ),
     "weak-null-ci": ("weak-null", _f("pairs_x1.csv"), "--gamma-bar", "1.2", "--ci", "--grid=-4:6:2"),
+    # 14 pairs: NumPy sums 8 or more elements pairwise, so these pin the
+    # summation order of the node solves; both stop "bounded" at the limit
+    **{
+        f"weak-null-x2-bounded-{objective}": (
+            "weak-null", _f("pairs_x2.csv"), "--gamma-bar", "1.5", "--lambda0", "0.5",
+            "--node-limit", "300", "--objective", objective,
+        )
+        for objective in ("expectation", "printed")
+    },
     "design-sens": ("design-sens", *_DGP),
     "design-sens-double-rank": ("design-sens", *_DGP, "--phi", "double-rank"),
     "bahadur": ("bahadur", *_DGP, "--gamma-bar", "1.2"),
