@@ -11,10 +11,15 @@ a convex program with one linear equality, one convex quadratic ball and
 coordinate bounds.  Every step below is exact; nothing iterates to a
 tolerance.
 
-1. feasibility screens (box vs plane, then the projection of the plane-box
-   set onto the ball);
+1. feasibility screens: box vs plane, then the projection of the plane-box
+   set onto the ball, which ends the solve when the ball misses that set
+   (infeasible) or only touches it (the projection is the answer);
 2. a closed-form KKT candidate ignoring the box (two multipliers solved
-   exactly); if it lands inside the box it is optimal;
+   exactly); if it lands inside the box it is optimal.  This candidate is
+   computed before the projection: when it lies in the box and a point a
+   short step from it toward the box-free projection, still in the box, has
+   a ball term below budget - 2 * slack, the projection screen cannot fire
+   and is skipped.  The answer is the same either way;
 3. otherwise a search on the ball multiplier nu.  For fixed nu the
    coordinate minimizers are clip(center - (c + lambda)/(2 nu a), l, u), and
    their sum is monotone and piecewise linear in the plane multiplier
@@ -49,6 +54,7 @@ from .errors import SolverError
 
 _NU_GUARD = 1e50
 _MAX_NU_STEPS = 400
+_SCREEN_STEP = 2.0**-10
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ class QclpResult:
 _INFEASIBLE = QclpResult(status="infeasible", value=math.inf, x=None)
 
 
-def _plane_root(center, g, s, l, u, total):
+def _plane_root(center, g, s, box, total):
     """Solve sum(clip(center - (g + lam)/s, l, u)) = total; (x, lam).
 
     The sum is continuous, nonincreasing and piecewise linear in lam.
@@ -70,49 +76,64 @@ def _plane_root(center, g, s, l, u, total):
     residual at each sorted breakpoint follows from the one before by the
     slope of the segment between them; the root's segment is the first whose
     right end has a nonpositive residual, and lam follows from its free set.
+    ``box`` is a _Box.
     """
-    leave_u = -g - s * (u - center)
-    reach_l = -g + s * (center - l)
+    l, u = box.l, box.u
+    neg_g = -g
+    leave_u = neg_g - s * box.u_off
+    reach_l = neg_g + s * box.l_off
     # the plane touches a box corner (to rounding precision): no sign change
-    excess = float(u.sum()) - total
+    excess = box.u_sum - total
     if excess <= 0.0:
-        return u.copy(), float(leave_u.min()) - 1.0
-    if float(l.sum()) - total >= 0.0:
-        return l.copy(), float(reach_l.max()) + 1.0
+        return u.copy(), float(np.minimum.reduce(leave_u)) - 1.0
+    if box.l_sum - total >= 0.0:
+        return l.copy(), float(np.maximum.reduce(reach_l)) + 1.0
     n = center.size
     breaks = np.concatenate((leave_u, reach_l))
-    order = np.argsort(breaks, kind="stable")
+    order = breaks.argsort(kind="stable")
     inv_s = 1.0 / s
-    slope = np.cumsum(np.concatenate((inv_s, -inv_s))[order])
+    slope = np.add.accumulate(np.concatenate((inv_s, -inv_s))[order])
     ordered = breaks[order]
-    residual = excess - np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(ordered))))
-    past = residual <= 0.0
-    k = int(np.argmax(past)) if past.any() else 2 * n - 1
-    rank = np.empty(2 * n, dtype=np.intp)
-    rank[order] = np.arange(2 * n)
-    free = (rank[:n] < k) & (rank[n:] >= k)
-    weight = float(inv_s[free].sum())
+    # drop[j] is the fall of the sum from breakpoint 0 to breakpoint j + 1,
+    # and the residual there, excess - drop[j], is <= 0 exactly when
+    # drop[j] >= excess
+    drop = np.add.accumulate(slope[:-1] * (ordered[1:] - ordered[:-1]))
+    past = drop >= excess
+    k = int(past.argmax()) + 1
+    if not past[k - 1]:
+        k = 2 * n - 1
+    passed = np.zeros(2 * n, dtype=bool)
+    passed[order[:k]] = True
+    below_u, at_l = passed[:n], passed[n:]
+    free = below_u > at_l  # left u, not yet at l
+    weight = float(np.add.reduce(inv_s[free]))
     if weight > 0.0:
-        fixed = float(u[rank[:n] >= k].sum()) + float(l[rank[n:] < k].sum())
-        lam = (float((center[free] - g[free] * inv_s[free]).sum()) + fixed - total) / weight
+        fixed = float(np.add.reduce(u[~below_u])) + float(np.add.reduce(l[at_l]))
+        moved = (center - g * inv_s)[free]
+        lam = (float(np.add.reduce(moved)) + fixed - total) / weight
         lam = min(max(lam, float(ordered[k - 1])), float(ordered[k]))
     else:
         lam = float(ordered[k])
-    return np.clip(center - (g + lam) / s, l, u), lam
+    x = center - (g + lam) / s
+    return x.clip(l, u, out=x), lam
 
 
-def _solve_plane(center, c, a, nu, l, u, total):
+def _solve_plane(center, c, a, nu, box, total):
     """Find lambda with sum(x(nu, lambda)) = total; returns (x, lambda)."""
-    return _plane_root(center, c, 2.0 * nu * a, l, u, total)
+    return _plane_root(center, c, 2.0 * nu * a, box, total)
 
 
 def _polish_equality(x, c, lam, l, u, total):
-    """Absorb the residual of sum(x) = total along near-zero reduced costs."""
-    x = x.copy()
-    residual = total - float(x.sum())
+    """Absorb the residual of sum(x) = total along near-zero reduced costs.
+
+    Returns ``x`` itself when there is nothing to absorb, else a polished
+    copy.
+    """
+    residual = total - float(np.add.reduce(x))
     if residual == 0.0:
         return x
-    for i in np.argsort(np.abs(c + lam)):
+    x = x.copy()
+    for i in np.abs(c + lam).argsort():
         room = (u[i] - x[i]) if residual > 0 else (x[i] - l[i])
         step = math.copysign(min(abs(residual), room), residual)
         x[i] += step
@@ -122,15 +143,31 @@ def _polish_equality(x, c, lam, l, u, total):
     return x
 
 
+class _Box:
+    """The box of one solve with the sums and offsets every plane root reads."""
+
+    __slots__ = ("l", "u", "l_sum", "u_sum", "u_off", "l_off")
+
+    def __init__(self, l, u, center, l_sum, u_sum):
+        self.l, self.u, self.l_sum, self.u_sum = l, u, l_sum, u_sum
+        self.u_off = u - center
+        self.l_off = center - l
+
+
+def _project(center, a, box, total):
+    zero = np.zeros_like(center)
+    x, _ = _plane_root(center, zero, 2.0 * a, box, total)
+    x = _polish_equality(x, zero, 0.0, box.l, box.u, total)
+    return x, float(np.add.reduce(a * (x - center) ** 2))
+
+
 def project_plane_box(center, a, l, u, total):
     """Minimize sum(a*(x-center)^2) on the plane-box set; (x, value)."""
-    zero = np.zeros_like(center)
-    x, _ = _plane_root(center, zero, 2.0 * a, l, u, total)
-    x = _polish_equality(x, zero, 0.0, l, u, total)
-    return x, float((a * (x - center) ** 2).sum())
+    box = _Box(l, u, center, float(np.add.reduce(l)), float(np.add.reduce(u)))
+    return _project(center, a, box, total)
 
 
-def _active_set_piece(c, a, center, x, at_l, at_u, l, u, budget, total):
+def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, total, ranged=True):
     """The piece of the path x(nu) on which the active set of x holds.
 
     Off the free set F every coordinate is pressed against the bound it sits
@@ -138,21 +175,23 @@ def _active_set_piece(c, a, center, x, at_l, at_u, l, u, budget, total):
     y(t) = center - (R/A + t d)/a, and the ball term is t^2 V + R^2/A +
     Q_fixed.  Returns the nu at which that ball term equals budget (None
     when it never does: V = 0, or R^2/A + Q_fixed already reaches budget),
-    and the smallest and largest nu at which every free y stays in its box
-    and every fixed one stays beyond its bound.
+    and, when ``ranged``, the smallest and largest nu at which every free y
+    stays in its box and every fixed one stays beyond its bound.  ``ca`` is
+    c * inv_a and ``inv_a`` is 1 / a.
     """
     free = ~(at_l | at_u)
     if not free.any():
         return None, 0.0, math.inf
     fixed = ~free
-    inv_a = 1.0 / a
-    A = float(inv_a[free].sum())
-    d = c - float((c[free] * inv_a[free]).sum()) / A
-    V = float((d[free] ** 2 * inv_a[free]).sum())
-    R = float(center[free].sum()) + float(x[fixed].sum()) - total
-    q_fixed = float((a[fixed] * (x[fixed] - center[fixed]) ** 2).sum())
+    A = float(np.add.reduce(inv_a[free]))
+    d = c - float(np.add.reduce(ca[free])) / A
+    V = float(np.add.reduce((d * d * inv_a)[free]))
+    R = float(np.add.reduce(center[free])) + float(np.add.reduce(x[fixed])) - total
+    q_fixed = float(np.add.reduce((a * (x - center) ** 2)[fixed]))
     room = budget - R * R / A - q_fixed
     root = math.sqrt(V / (4.0 * room)) if V > 0.0 and room > 0.0 else None
+    if not ranged:
+        return root, None, None
     # y(t) = p - t m must stay >= floor and <= ceil
     p = center - R / A * inv_a
     m = d * inv_a
@@ -162,8 +201,10 @@ def _active_set_piece(c, a, center, x, at_l, at_u, l, u, budget, total):
     slope = np.where(m == 0.0, 1.0, m)
     to_floor = (p - floor) / slope
     to_ceil = (p - ceil) / slope
-    t_hi = min(to_floor[up].min(initial=math.inf), to_ceil[down].min(initial=math.inf))
-    t_lo = max(to_ceil[up].max(initial=0.0), to_floor[down].max(initial=0.0))
+    t_hi = min(np.minimum.reduce(to_floor[up], initial=math.inf),
+               np.minimum.reduce(to_ceil[down], initial=math.inf))
+    t_lo = max(np.maximum.reduce(to_ceil[up], initial=0.0),
+               np.maximum.reduce(to_floor[down], initial=0.0))
     return root, 0.5 / t_hi, 0.5 / t_lo if t_lo > 0.0 else math.inf
 
 
@@ -177,7 +218,11 @@ def minimize_linear(
     total: float,
     feas_tol: float = 1e-9,
 ) -> QclpResult:
-    """Solve the plane-ball-box linear minimization; see module docstring."""
+    """Solve the plane-ball-box linear minimization; see module docstring.
+
+    Raises SolverError on a nonpositive weight, a negative budget, or data
+    that is not finite (NaN or infinite entries, or sums that overflow).
+    """
     c = np.asarray(c, dtype=float)
     l = np.asarray(l, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -185,54 +230,84 @@ def minimize_linear(
     center = np.asarray(center, dtype=float)
     budget = float(budget)
     total = float(total)
-    if (a <= 0).any() or budget < 0:
+    # written so that a NaN fails them
+    if not budget >= 0.0 or not (a > 0.0).all():
         raise SolverError("ball weights must be positive and budget nonnegative")
-    if np.any(l > u + 1e-15 * np.maximum(1.0, np.abs(u))):
+    # scalars the solve needs anyway; a NaN or infinity in the data shows here
+    l_sum = float(np.add.reduce(l))
+    u_sum = float(np.add.reduce(u))
+    center_sum = float(np.add.reduce(center))
+    c_max = float(np.maximum.reduce(c))
+    c_min = float(np.minimum.reduce(c))
+    inv_a = 1.0 / a
+    A1 = float(np.add.reduce(inv_a))
+    for value in (budget, total, l_sum, u_sum, center_sum, c_max - c_min, A1):
+        if not math.isfinite(value):
+            raise SolverError("solver data must be finite")
+    if not (l <= u).all() and (l > u + 1e-15 * np.maximum(1.0, np.abs(u))).any():
         return _INFEASIBLE
-
     eq_slack = feas_tol * max(1.0, abs(total))
-    if float(l.sum()) > total + eq_slack or float(u.sum()) < total - eq_slack:
+    if l_sum > total + eq_slack or u_sum < total - eq_slack:
         return _INFEASIBLE
 
-    proj, qmin = project_plane_box(center, a, l, u, total)
     budget_slack = feas_tol * max(1.0, budget)
-    if qmin > budget + budget_slack:
-        return _INFEASIBLE
-    if qmin >= budget - budget_slack:
-        # the feasible set is (numerically) the single projection point
-        return QclpResult(status="optimal", value=float(c @ proj), x=proj)
-
-    c_spread = float(c.max() - c.min())
-    c_scale = float(np.abs(c).max())
-    if c_spread <= 1e-15 * max(1.0, c_scale):
-        # objective constant on the plane: c @ x = c_mean * total + spread-noise
-        return QclpResult(status="optimal", value=float(c @ proj), x=proj)
+    c_spread = c_max - c_min
+    c_scale = max(c_max, -c_min)  # max |c|
+    # objective constant on the plane: c @ x = c_mean * total + spread-noise
+    flat = c_spread <= 1e-15 * max(1.0, c_scale)
 
     # ---- closed form ignoring the box ------------------------------------
-    s0 = total - float(center.sum())
-    inv_a = 1.0 / a
-    A1 = float(inv_a.sum())
-    Ac = float((c * inv_a).sum())
-    Acc = float((c * c * inv_a).sum())
+    s0 = total - center_sum
+    ca = c * inv_a
+    Ac = float(np.add.reduce(ca))
+    Acc = float(np.add.reduce(c * c * inv_a))
     var_c = max(Acc - Ac * Ac / A1, 0.0)
     ball_slack = budget - s0 * s0 / A1
-    if ball_slack > 0.0 and var_c > 0.0:
+    closed = None
+    if not flat and ball_slack > 0.0 and var_c > 0.0:
         nu = math.sqrt(var_c / (4.0 * ball_slack))
         lam = (-2.0 * nu * s0 - Ac) / A1
-        x = center - (c + lam) / (2.0 * nu * a)
-        if np.all(x >= l) and np.all(x <= u):
-            return QclpResult(status="optimal", value=float(c @ x), x=x)
+        step = (c + lam) / (2.0 * nu * a)
+        x = center - step
+        if (x >= l).all() and (x <= u).all():
+            closed = x
+            # The screens below cannot end the solve if a plane-box point
+            # has a ball term under budget - 2 slack.  From x toward the
+            # box-free projection center + (s0 / A1) / a the ball term falls as
+            # s0^2/A1 + (1 - t)^2 ball_slack; try t = _SCREEN_STEP.
+            t = _SCREEN_STEP
+            if ball_slack * t * (2.0 - t) > 2.0 * budget_slack:
+                y = x + t * ((s0 / A1) * inv_a + step)
+                if (y >= l).all() and (y <= u).all():
+                    return QclpResult(status="optimal", value=float(c @ x), x=x)
+
+    box = _Box(l, u, center, l_sum, u_sum)
+    proj, qmin = _project(center, a, box, total)
+    if qmin > budget + budget_slack:
+        return _INFEASIBLE
+    if qmin >= budget - budget_slack or flat:
+        # the feasible set is (numerically) the single projection point, or
+        # every point of it is optimal
+        return QclpResult(status="optimal", value=float(c @ proj), x=proj)
+    if closed is not None:
+        return QclpResult(status="optimal", value=float(c @ closed), x=closed)
 
     # ---- active-set search on the ball multiplier ------------------------
-    radius = math.sqrt(budget / float(a.min())) if budget > 0 else 0.0
+    radius = math.sqrt(budget / float(np.minimum.reduce(a))) if budget > 0 else 0.0
     obj_scale = max(c_scale * max(radius, 1.0), 1.0)
     nu_floor = 1e-12 * obj_scale / max(budget, 1e-300)
 
     def solve_at(nu):
         """(raw x, polished x, ball term, at-l mask, at-u mask) at nu."""
-        raw, lam = _solve_plane(center, c, a, nu, l, u, total)
+        raw, lam = _solve_plane(center, c, a, nu, box, total)
         x = _polish_equality(raw, c, lam, l, u, total)
-        return raw, x, float((a * (x - center) ** 2).sum()), raw <= l, raw >= u
+        quad = float(np.add.reduce(a * (x - center) ** 2))
+        return raw, x, quad, raw <= l, raw >= u
+
+    def piece(raw, at_l, at_u, ranged=True):
+        return _active_set_piece(
+            c, ca, a, inv_a, center, raw, at_l, at_u, l, u, budget, total, ranged
+        )
 
     raw, x, quad, at_l, at_u = solve_at(nu_floor)
     if quad <= budget + budget_slack:
@@ -243,7 +318,7 @@ def minimize_linear(
     # closed form.
     nu_lo, nu_hi = nu_floor, math.inf
     at_l = at_u = np.zeros(c.size, dtype=bool)
-    step, _, _ = _active_set_piece(c, a, center, raw, at_l, at_u, l, u, budget, total)
+    step, _, _ = piece(raw, at_l, at_u, ranged=False)
     for _ in range(_MAX_NU_STEPS):
         exact = step is not None and nu_lo < step < nu_hi
         if exact:
@@ -260,11 +335,11 @@ def minimize_linear(
             raw, x, quad, _, _ = solve_at(nu_hi)
             break
         raw, x, quad, new_l, new_u = solve_at(nu)
-        if exact and np.array_equal(new_l, at_l) and np.array_equal(new_u, at_u):
+        if exact and (new_l == at_l).all() and (new_u == at_u).all():
             # the step kept its active set, so it solved that piece exactly
             break
         at_l, at_u = new_l, new_u
-        step, nu_min, nu_max = _active_set_piece(c, a, center, raw, at_l, at_u, l, u, budget, total)
+        step, nu_min, nu_max = piece(raw, at_l, at_u)
         # a piece without the root lies wholly on the side of nu
         if quad > budget:
             nu_lo = nu

@@ -242,6 +242,22 @@ class _Search:
         self.icept1 = p_plus * tau1 / denom
         self.slope0 = sign * p_minus / denom
         self.icept0 = p_minus * tau1 / denom
+        # a free pair's line: the chord of min(line1, line0) over its union
+        # box [lo0, hi1]
+        L, U = self.lo0, self.hi1
+        mL = np.minimum(self.slope1 * L + self.icept1, self.slope0 * L + self.icept0)
+        mU = np.minimum(self.slope1 * U + self.icept1, self.slope0 * U + self.icept0)
+        chord = (mU - mL) / (U - L)
+        self.chord = (chord, mL - chord * L)
+        # the coefficient rows (slope, intercept, lo, hi) of every pair in
+        # each state, side by side: column s * n + i holds pair i in state s
+        # (0 free, 1 w = 0, 2 w = 1)
+        self._table = np.hstack([
+            np.stack((*self.chord, L, U)),
+            np.stack((self.slope0, self.icept0, self.lo0, self.hi0)),
+            np.stack((self.slope1, self.icept1, self.lo1, self.hi1)),
+        ])
+        self._column = tau1.size + np.arange(tau1.size)
         self.node_count = 0
         self.incumbent = math.inf
         self.best_w = None
@@ -251,38 +267,19 @@ class _Search:
 
     # -- geometry helpers ---------------------------------------------------
 
-    def _chord(self, free: np.ndarray):
-        """Chord of min(line1, line0) over the union box, per free pair."""
-        L, U = self.lo0[free], self.hi1[free]
-        mL = np.minimum(
-            self.slope1[free] * L + self.icept1[free],
-            self.slope0[free] * L + self.icept0[free],
-        )
-        mU = np.minimum(
-            self.slope1[free] * U + self.icept1[free],
-            self.slope0[free] * U + self.icept0[free],
-        )
-        slope = (mU - mL) / (U - L)
-        return slope, mL - slope * L, L, U
-
     def _coeffs(self, wfix: np.ndarray):
-        one = wfix == 1
-        slope = np.where(one, self.slope1, self.slope0)
-        icept = np.where(one, self.icept1, self.icept0)
-        lo = np.where(one, self.lo1, self.lo0)
-        hi = np.where(one, self.hi1, self.hi0)
-        free = wfix < 0
-        if np.any(free):
-            fslope, ficept, L, U = self._chord(free)
-            slope[free] = fslope
-            icept[free] = ficept
-            lo[free] = L
-            hi[free] = U
-        return slope, icept, lo, hi
+        """Slope, intercept, lo and hi of each pair at wfix (-1 free, 0, 1).
+
+        Each comes back as a C-contiguous array: a strided view would change
+        the rounding of the sums and dot products that read it.
+        """
+        column = np.multiply(wfix, wfix.size, dtype=np.intp)
+        column += self._column
+        return tuple(self._table.take(column, axis=1))
 
     def _solve(self, wfix: np.ndarray):
         """Relaxation value (exact when no pair is free); None if infeasible."""
-        key = wfix.tobytes() if not np.any(wfix < 0) else None
+        key = wfix.tobytes() if (wfix >= 0).all() else None
         if key is not None and key in self._leaf_cache:
             return self._leaf_cache[key]
         slope, icept, lo, hi = self._coeffs(wfix)
@@ -299,7 +296,7 @@ class _Search:
         )
         out = None
         if res.status == "optimal":
-            out = (res.value + float(np.sum(icept)), res.x)
+            out = (res.value + float(np.add.reduce(icept)), res.x)
         if key is not None:
             self._leaf_cache[key] = out
         return out
@@ -322,18 +319,19 @@ class _Search:
         if solved is not None:
             self._record(w, *solved)
 
-    def _looseness(self, wfix: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Gap between the true per-pair objective floor and the chord at x."""
-        gap = np.zeros_like(x)
-        free = wfix < 0
-        if not np.any(free):
-            return gap
-        t = x[free]
-        f1 = self.slope1[free] * t + self.icept1[free]
-        f0 = self.slope0[free] * t + self.icept0[free]
-        slope, icept, _, _ = self._chord(free)
-        gap[free] = np.minimum(f1, f0) - (slope * t + icept)
-        return gap
+    def _looseness(self, x: np.ndarray) -> np.ndarray:
+        """Gap between the true per-pair objective floor and the chord at x,
+        for every pair; only the free pairs' entries mean anything."""
+        f1 = self.slope1 * x
+        f1 += self.icept1
+        f0 = self.slope0 * x
+        f0 += self.icept0
+        np.minimum(f1, f0, out=f1)
+        slope, icept = self.chord
+        line = slope * x
+        line += icept
+        f1 -= line
+        return f1
 
     # -- main loop ----------------------------------------------------------
 
@@ -360,8 +358,7 @@ class _Search:
                 status = "bounded"
                 break
             free_idx = np.flatnonzero(wfix < 0)
-            loose = self._looseness(wfix, x)
-            j = int(free_idx[int(np.argmax(loose[free_idx]))])
+            j = int(free_idx[int(self._looseness(x)[free_idx].argmax())])
             for wj in (0, 1):
                 child = wfix.copy()
                 child[j] = wj
@@ -369,7 +366,7 @@ class _Search:
                 if solved is None:
                     continue
                 child_bound, child_x = solved
-                if np.any(child < 0):
+                if (child < 0).any():
                     self._offer_snap(child, child_x)
                     counter += 1
                     heapq.heappush(heap, (child_bound, counter, child, child_x))

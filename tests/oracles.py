@@ -12,7 +12,10 @@ dosesens.asymptotics.  The scalar gamma_bar bisection, evaluating the mean
 with ``ndarray.mean``, and the power loop that tested one replicate and
 grid point at a time are kept as references for the row-wise bisection and
 the batched power chunks, which must match them bit for bit and raise the
-same errors.
+same errors.  The per-node construction of the weak-null coefficient rows
+(``np.where`` on the fixed pairs, the chord computed on the free subset) is
+kept as the reference for the rows the search builds once, which must match
+it bit for bit.
 """
 
 import itertools
@@ -342,6 +345,37 @@ def reference_minimize_linear(c, l, u, a, center, budget, total, feas_tol=1e-9):
 # ------------------------------------------------- asymptotic root solves --
 
 _BISECT_ITER = 200
+
+
+def reference_node_coeffs(search, wfix):
+    """Slope, intercept, lo and hi of a weak-null node, built per node.
+
+    Fixed pairs take their w = 0 or w = 1 line and box by ``np.where``; free
+    pairs take the chord of min(line1, line0) over the union box [lo0, hi1],
+    computed on the free subset only.
+    """
+    one = wfix == 1
+    slope = np.where(one, search.slope1, search.slope0)
+    icept = np.where(one, search.icept1, search.icept0)
+    lo = np.where(one, search.lo1, search.lo0)
+    hi = np.where(one, search.hi1, search.hi0)
+    free = wfix < 0
+    if np.any(free):
+        L, U = search.lo0[free], search.hi1[free]
+        mL = np.minimum(
+            search.slope1[free] * L + search.icept1[free],
+            search.slope0[free] * L + search.icept0[free],
+        )
+        mU = np.minimum(
+            search.slope1[free] * U + search.icept1[free],
+            search.slope0[free] * U + search.icept0[free],
+        )
+        chord = (mU - mL) / (U - L)
+        slope[free] = chord
+        icept[free] = mL - chord * L
+        lo[free] = L
+        hi[free] = U
+    return slope, icept, lo, hi
 
 
 def reference_design_sensitivity(dgp, tol=1e-6, stream=()):

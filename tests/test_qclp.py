@@ -7,10 +7,13 @@ status and the value of every instance, and the returned point must meet the
 plane, ball and box constraints within the solver's own slacks.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from dosesens import qclp
+from dosesens.errors import SolverError
 from dosesens.gammas import build_schedule
 from dosesens.pairs import sample_from_arrays
 from dosesens.weaknull import SolverConfig, WeakNullProblem, _Search, worst_case_zscore
@@ -190,3 +193,63 @@ def test_nu_search_work_per_node_is_small_and_stable(monkeypatch):
         assert counts["plane"] <= 8 * counts["searched"]
         totals.append(counts["plane"])
     assert max(totals) <= 1.5 * min(totals)
+
+
+SMALL_INSTANCE = dict(
+    c=[1.0, -2.0, 0.5], l=[-1.0, -1.0, -1.0], u=[1.0, 1.0, 1.0], a=[1.0, 2.0, 0.5],
+    center=[0.0, 0.0, 0.0], budget=0.5, total=0.3,
+)
+
+
+def small_instance(name=None, bad=None):
+    """SMALL_INSTANCE as arrays, with ``bad`` as the scalar ``name`` or as
+    its middle entry."""
+    data = {k: np.array(v) if isinstance(v, list) else v for k, v in SMALL_INSTANCE.items()}
+    if isinstance(data.get(name), np.ndarray):
+        data[name][1] = bad
+    elif name is not None:
+        data[name] = bad
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_INSTANCE))
+def test_nan_data_raises_instead_of_a_nan_optimum(name):
+    """A NaN anywhere in the data used to come back "optimal" with a NaN
+    value, which would make every bound comparison of a search meaningless."""
+    assert qclp.minimize_linear(**small_instance()).status == "optimal"
+    with pytest.raises(SolverError):
+        qclp.minimize_linear(**small_instance(name, np.nan))
+
+
+@pytest.mark.parametrize("name", ["budget", "total", "c", "l", "u", "center"])
+def test_infinite_data_raises(name):
+    with pytest.raises(SolverError, match="finite"):
+        qclp.minimize_linear(**small_instance(name, np.inf))
+
+
+def near_degenerate_instance(rng):
+    """A budget within a few slacks of the plane-box projection's ball term,
+    where the projection screen decides the answer."""
+    c, l, u, a, center, _, total = random_instance(rng)
+    _, qmin = qclp.project_plane_box(center, a, l, u, total)
+    budget = max(qmin + FEAS_TOL * max(1.0, qmin) * rng.uniform(-3.0, 3.0), 0.0)
+    return c, l, u, a, center, budget, total
+
+
+@pytest.mark.parametrize(
+    "make", [random_instance, weak_null_instance, near_degenerate_instance]
+)
+def test_skipped_projection_screen_changes_no_bit(make, monkeypatch):
+    """A closed-form answer skips the projection screen only when that screen
+    cannot fire; with the skip turned off every result is the same, bit for
+    bit."""
+    rng = np.random.default_rng(20261019)
+    instances = [make(rng) for _ in range(1500)]
+    first = [qclp.minimize_linear(*inst, feas_tol=FEAS_TOL) for inst in instances]
+    monkeypatch.setattr(qclp, "_SCREEN_STEP", 0.0)
+    for inst, res in zip(instances, first):
+        ref = qclp.minimize_linear(*inst, feas_tol=FEAS_TOL)
+        assert res.status == ref.status
+        assert res.value == ref.value or (math.isinf(res.value) and math.isinf(ref.value))
+        if ref.x is not None:
+            assert res.x.tobytes() == ref.x.tobytes()

@@ -17,13 +17,14 @@ from dosesens.pairs import sample_from_arrays
 from dosesens.weaknull import (
     SolverConfig,
     WeakNullProblem,
+    _Search,
     bounding_tail,
     variance_bound,
     weak_null_ci,
     worst_case_zscore,
 )
 
-from oracles import brute_force_weaknull, enumerate_bounding_tail
+from oracles import brute_force_weaknull, enumerate_bounding_tail, reference_node_coeffs
 
 
 def random_problem(rng, n, lambda0=0.0, scale=1.0, gamma_high=3.0):
@@ -63,6 +64,22 @@ def test_branch_and_bound_matches_slsqp_oracle(objective):
         assert sol.bound <= sol.optimum + 1e-12
         assert sol.gap <= config.gap_tol + 1e-15
         check_feasibility(sol, problem)
+
+
+def test_node_coefficient_rows_match_per_node_construction():
+    """The rows the search builds once equal the per-node construction bit
+    for bit, and are C-contiguous: a strided view changes the rounding of
+    the node solve's sums and dot products."""
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 21):
+        for objective in ("printed", "expectation"):
+            search = _Search(random_problem(rng, n), SolverConfig(objective=objective))
+            for _ in range(10):
+                wfix = rng.integers(-1, 2, n).astype(np.int8)
+                rows = search._coeffs(wfix)
+                for got, want in zip(rows, reference_node_coeffs(search, wfix), strict=True):
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_printed_objective_never_positive():
