@@ -342,11 +342,6 @@ def reference_minimize_linear(c, l, u, a, center, budget, total, feas_tol=1e-9):
     raise SolverError("dual search failed to recover a feasible point")
 
 
-# ------------------------------------------------- asymptotic root solves --
-
-_BISECT_ITER = 200
-
-
 def reference_node_coeffs(search, wfix):
     """Slope, intercept, lo and hi of a weak-null node, built per node.
 
@@ -376,6 +371,11 @@ def reference_node_coeffs(search, wfix):
         lo[free] = L
         hi[free] = U
     return slope, icept, lo, hi
+
+
+# ------------------------------------------------- asymptotic root solves --
+
+_BISECT_ITER = 200
 
 
 def reference_design_sensitivity(dgp, tol=1e-6, stream=()):
