@@ -322,16 +322,9 @@ class _Search:
     def _looseness(self, x: np.ndarray) -> np.ndarray:
         """Gap between the true per-pair objective floor and the chord at x,
         for every pair; only the free pairs' entries mean anything."""
-        f1 = self.slope1 * x
-        f1 += self.icept1
-        f0 = self.slope0 * x
-        f0 += self.icept0
-        np.minimum(f1, f0, out=f1)
+        floor = np.minimum(self.slope1 * x + self.icept1, self.slope0 * x + self.icept0)
         slope, icept = self.chord
-        line = slope * x
-        line += icept
-        f1 -= line
-        return f1
+        return floor - (slope * x + icept)
 
     # -- main loop ----------------------------------------------------------
 
