@@ -220,8 +220,9 @@ def minimize_linear(
 ) -> QclpResult:
     """Solve the plane-ball-box linear minimization; see module docstring.
 
-    Raises SolverError on a nonpositive weight, a negative budget, or data
-    that is not finite (NaN or infinite entries, or sums that overflow).
+    Raises SolverError on a weight that is not positive (NaN included), a
+    negative budget, or a NaN or infinite budget, total or entry of c, l, u
+    or center (or a sum of them, or of 1/a, that overflows).
     """
     c = np.asarray(c, dtype=float)
     l = np.asarray(l, dtype=float)
