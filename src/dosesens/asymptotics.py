@@ -42,6 +42,13 @@ increasing and concave (gaps >= 0 and p >= 1/2), so Newton from below
 climbs to the root without overshooting; a step that still leaves the
 bracket is replaced by the bracket midpoint.  On the built-in DGPs a solve
 takes five to seven passes, bracket included, where bisection took 43 to 45.
+
+Every pass writes into two scratch arrays made once per solve, so a
+design-sensitivity pass holds five arrays of the draw's size (gaps, phi,
+phi * gap and the two scratch arrays) and a slope pass five as well (phi,
+p, the inverse odds and the two scratch arrays).  Drawing, differencing
+and ranking hold about as many (``_population_components``): 40 to 50
+bytes a draw at the peak on the built-in samplers.
 """
 
 from __future__ import annotations
@@ -90,9 +97,12 @@ class BahadurResult:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    """Logistic function 1 / (1 + e^-x); every argument here is >= 0, so
-    e^-x never overflows."""
-    return 1.0 / (1.0 + np.exp(-x))
+    """Logistic function 1 / (1 + e^-x), written over ``x`` and returned;
+    every argument here is >= 0, so e^-x never overflows."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def _population_components(dgp: DgpSpec, stream: tuple = ()):
@@ -100,31 +110,49 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
 
     A nonempty ``stream`` keys an independent set of draws (same size), for
     assessing the Monte Carlo variability of the outputs.
+
+    The gaps and the concordance are new arrays that the caller may
+    overwrite; the phi values may be an array that a custom phi keeps, and
+    are only read.  The outcome difference overwrites y1 when a built-in
+    sampler has just made it, and the draw arrays are dropped as soon as
+    the pair differences and the gaps exist: at most five arrays of the
+    draw's size are alive at once (z1, z2, both differences and the gaps),
+    and each rank phi reads holds three more while it sorts (the order, the
+    block ends and the ranks) beside the gaps and one or both differences.
     """
-    z1, z2, y1, y2 = dgp.draw(stream=tuple(stream))
-    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in (z1, z2, y1, y2))
+    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in dgp.draw(stream=tuple(stream)))
+    # a custom sampler may keep its arrays, so only a built-in one's are reused
+    outcome_diff = np.subtract(y1, y2, out=y1 if dgp.is_named else None)
+    del y1, y2
     dose_diff = z1 - z2
     if np.any(dose_diff == 0):
         raise DataError("DGP produced tied doses within a pair")
-    outcome_diff = y1 - y2
+    gaps = dgp.link.gaps(z1, z2)
+    del z1, z2
     concordant = (dose_diff * outcome_diff) > 0
-
-    dgp.link.validate_on(np.concatenate([z1, z2]))
-    gaps = np.abs(dgp.link.apply(z1) - dgp.link.apply(z2))
 
     n = dose_diff.size
     reads = dgp.phi_reads()
     # a rank phi does not read is a NaN view, which the finiteness check catches
     unread = np.broadcast_to(np.nan, (n,))
-    # right-continuous empirical CDF evaluated at the draws: rank_max / n
-    u = rank(np.abs(dose_diff), ties="max") / n if "u" in reads else unread
-    v = rank(np.abs(outcome_diff), ties="max") / n if "v" in reads else unread
+    u = _cdf_at_draws(dose_diff) if "u" in reads else unread
+    del dose_diff
+    v = _cdf_at_draws(outcome_diff) if "v" in reads else unread
+    del outcome_diff
     phi_values = np.asarray(dgp.phi_fn()(u, v), dtype=float)
     if phi_values.shape != (n,):
         raise DataError("phi must return one value per draw")
     if not np.all(np.isfinite(phi_values)) or np.any(phi_values < 0):
         raise DataError("phi must be finite and nonnegative over the rank range")
     return gaps, concordant, phi_values
+
+
+def _cdf_at_draws(diff: np.ndarray) -> np.ndarray:
+    """Right-continuous empirical CDF of |diff| at the draws, rank_max / n;
+    ``diff`` is overwritten with |diff|."""
+    cdf = rank(np.abs(diff, out=diff), ties="max")
+    cdf /= diff.size
+    return cdf
 
 
 def _newton_root(value_and_slope, target, lo, hi, at_lo, ftol):
@@ -160,6 +188,25 @@ def _newton_root(value_and_slope, target, lo, hi, at_lo, ftol):
     return x, value
 
 
+def _lhs_and_slope(phi: np.ndarray, gaps: np.ndarray):
+    """The pass of the design-sensitivity solve: a function of gamma that
+    returns E[phi * s] and its derivative E[phi * gap * s * (1 - s)], with
+    s = logistic(gamma * gap).  Every pass reuses the same two scratch
+    arrays; dropping the function frees them and phi * gap."""
+    phi_gap = phi * gaps
+    s = np.empty_like(gaps)
+    work = np.empty_like(gaps)
+
+    def lhs_and_slope(g: float):
+        _expit(np.multiply(g, gaps, out=s))
+        lhs = float(np.multiply(phi, s, out=work).mean())
+        np.subtract(1.0, s, out=work)
+        np.multiply(work, s, out=work)
+        return lhs, float(np.multiply(work, phi_gap, out=work).mean())
+
+    return lhs_and_slope
+
+
 def design_sensitivity(
     dgp: DgpSpec, tol: float = 1e-6, stream: tuple = ()
 ) -> DesignSensitivityResult:
@@ -174,15 +221,11 @@ def design_sensitivity(
     n = phi.size
     scale = max(float(phi.mean()), np.finfo(float).tiny)
     rhs = float((phi * concordant).mean())
-    phi_gap = phi * gaps
-
-    def lhs_and_slope(g: float):
-        s = _expit(g * gaps)
-        return float((phi * s).mean()), float((phi_gap * (s * (1.0 - s))).mean())
-
+    null_margin = 3.0 * float(np.std(phi * (concordant - 0.5), ddof=1)) / math.sqrt(n)
+    del concordant
+    lhs_and_slope = _lhs_and_slope(phi, gaps)
     at_lo = lhs_and_slope(0.0)
     lhs0 = at_lo[0]
-    null_margin = 3.0 * float(np.std(phi * (concordant - 0.5), ddof=1)) / math.sqrt(n)
     if rhs - lhs0 <= null_margin:
         return DesignSensitivityResult(
             gamma_star=0.0,
@@ -217,13 +260,16 @@ def design_sensitivity(
         at_hi = lhs_and_slope(hi)
 
     gamma_star, lhs_star = _newton_root(lhs_and_slope, rhs, lo, hi, at_lo, tol * scale)
+    del lhs_and_slope
     residual = lhs_star - rhs
     if not abs(residual) <= tol * scale:
         raise SolverError(
             f"design-sensitivity root solve did not converge (residual {residual:.3g})"
         )
 
-    amplification = np.exp(np.minimum(gamma_star * gaps, MAX_EXPONENT))
+    amplification = np.multiply(gamma_star, gaps, out=gaps)
+    np.minimum(amplification, MAX_EXPONENT, out=amplification)
+    np.exp(amplification, out=amplification)
     gamma_bar_star = float(amplification.mean())
     with np.errstate(over="ignore"):
         spread = float(np.std(amplification, ddof=1))
@@ -267,15 +313,25 @@ def slope_from_components(mu, phi, p_success, tol: float = 1e-6):
     mu = float(mu)
     scale = max(float(phi.mean()), np.finfo(float).tiny)
     odds_inv = (1.0 - p) / p  # exp(-t*phi) multiplier, stable for t >= 0
+    # scratch arrays that every pass reuses
+    w = np.empty_like(phi)
+    term = np.empty_like(phi)
 
     def omega1_and_slope(t: float):
         # the logistic term is s = 1 / (1 + w), so phi^2 s(1-s) = term^2 * w
-        w = odds_inv * np.exp(-t * phi)
-        term = phi / (1.0 + w)
-        return float(term.mean()), float((term * term * w).mean())
+        np.exp(np.multiply(-t, phi, out=w), out=w)
+        np.multiply(w, odds_inv, out=w)
+        np.add(1.0, w, out=term)
+        omega1 = float(np.divide(phi, term, out=term).mean())
+        np.multiply(term, term, out=term)
+        return omega1, float(np.multiply(term, w, out=term).mean())
 
     def omega0(t: float) -> float:
-        return float((t * phi + np.log(p + (1.0 - p) * np.exp(-t * phi))).mean())
+        # t * phi + log(p + (1 - p) * exp(-t * phi))
+        np.exp(np.multiply(-t, phi, out=w), out=w)
+        np.multiply(w, np.subtract(1.0, p, out=term), out=w)
+        np.log(np.add(w, p, out=w), out=w)
+        return float(np.add(w, np.multiply(t, phi, out=term), out=w).mean())
 
     at_lo = omega1_and_slope(0.0)
     at_zero = at_lo[0]
@@ -320,9 +376,11 @@ def bahadur_slope(
         raise ConfigError("gamma_bar must be >= 1")
     gaps, concordant, phi = _population_components(dgp, stream)
     mu = float((phi * concordant).mean())
+    del concordant
     gamma = 0.0 if gamma_bar == 1.0 else gamma_for_mean_bound(gamma_bar, gaps, tol=1e-12)
+    p = _expit(np.multiply(gamma, gaps, out=gaps))
     # expit saturates to 1.0 in floats for huge exponents; keep p in (0, 1)
-    p = np.clip(_expit(gamma * gaps), None, 1.0 - 1e-16)
+    np.clip(p, None, 1.0 - 1e-16, out=p)
     t_tilde, omega0_t, slope = slope_from_components(mu, phi, p, tol=tol)
     return BahadurResult(
         gamma_bar=gamma_bar,

@@ -5,6 +5,12 @@ draws of the two doses and outcomes.  Built-in samplers are referenced by
 name plus a parameter dict so that simulation configurations are picklable
 and serializable; custom callables are accepted wherever parallelism is not
 requested.
+
+The built-in samplers accumulate into their output arrays, in the order of
+operations of their formulas: at most five arrays of n floats are alive at
+once, the four outputs (or the arrays that become them) and one fresh
+normal draw.  Their arrays are new, so the planning solves may overwrite
+them; a custom sampler's arrays are only read.
 """
 
 from __future__ import annotations
@@ -49,6 +55,9 @@ def rank_score_fn(phi) -> Callable:
     raise ConfigError(f"cannot interpret rank-score function {phi!r}")
 
 
+# 20 times the design-sens default: about 1 GB at the 40-50 bytes a draw holds
+MAX_MC_DRAWS = 20_000_000
+
 # ----------------------------------------------------------- built-in DGPs --
 
 
@@ -67,8 +76,13 @@ def _paired_normal(rng, n, params):
     pair_noise_sd = float(params.get("pair_noise_sd", 0.0))
     z1, z2 = _uniform_doses(rng, n, params)
     shared = rng.normal(0.0, pair_noise_sd, n) if pair_noise_sd > 0 else 0.0
-    y1 = effect * z1 + shared + rng.normal(0.0, noise_sd, n)
-    y2 = effect * z2 + shared + rng.normal(0.0, noise_sd, n)
+    y1 = effect * z1
+    y1 += shared
+    y1 += rng.normal(0.0, noise_sd, n)
+    y2 = effect * z2
+    y2 += shared
+    del shared
+    y2 += rng.normal(0.0, noise_sd, n)
     return z1, z2, y1, y2
 
 
@@ -85,11 +99,19 @@ def _fixed_concordance(rng, n, params):
     if not 0.0 < theta < 1.0:
         raise ConfigError("theta must be in (0, 1)")
     z1, z2 = _uniform_doses(rng, n, params)
-    magnitude = np.abs(rng.normal(0.0, 1.0, n))
+    magnitude = rng.normal(0.0, 1.0, n)
+    np.abs(magnitude, out=magnitude)
     agree = np.where(rng.random(n) < theta, 1.0, -1.0)
-    diff = np.sign(z1 - z2) * agree * magnitude
+    half_diff = np.subtract(z1, z2)
+    np.sign(half_diff, out=half_diff)
+    half_diff *= agree
+    half_diff *= magnitude
+    del agree, magnitude
+    half_diff *= 0.5
     mid = rng.normal(0.0, 1.0, n)
-    return z1, z2, mid + 0.5 * diff, mid - 0.5 * diff
+    y1 = mid + half_diff
+    y2 = np.subtract(mid, half_diff, out=mid)
+    return z1, z2, y1, y2
 
 
 def _constant_gap(rng, n, params):
@@ -102,10 +124,15 @@ def _constant_gap(rng, n, params):
     z1 = rng.uniform(
         float(params.get("dose_low", 0.0)), float(params.get("dose_high", 1.0)), n
     )
-    sign = rng.integers(0, 2, n) * 2.0 - 1.0
-    z2 = z1 + sign * gap
-    y1 = effect * z1 + rng.normal(0.0, noise_sd, n)
-    y2 = effect * z2 + rng.normal(0.0, noise_sd, n)
+    # z2 = z1 + sign * gap, built in the array that first holds the sign
+    z2 = rng.integers(0, 2, n) * 2.0
+    z2 -= 1.0
+    z2 *= gap
+    z2 += z1
+    y1 = effect * z1
+    y1 += rng.normal(0.0, noise_sd, n)
+    y2 = effect * z2
+    y2 += rng.normal(0.0, noise_sd, n)
     return z1, z2, y1, y2
 
 
@@ -125,7 +152,7 @@ class DgpSpec:
     ``(rng, n) -> (z1, z2, y1, y2)``.  ``phi`` is the rank-score function of
     the test under study, on normalized ranks.  ``mc_draws`` pairs are drawn
     once per calculation with generators derived from ``seed``, so repeated
-    calls see identical draws.
+    calls see identical draws; at most ``MAX_MC_DRAWS`` are allowed.
     """
 
     sampler: str | Callable = "paired-normal"
@@ -144,6 +171,11 @@ class DgpSpec:
             raise ConfigError(
                 "mc_draws must be at least 10000; population functionals "
                 "are too noisy below that"
+            )
+        if int(self.mc_draws) > MAX_MC_DRAWS:
+            raise ConfigError(
+                f"mc_draws must be at most {MAX_MC_DRAWS}; one frozen draw "
+                "is held in memory whole"
             )
 
     @property

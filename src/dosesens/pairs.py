@@ -219,12 +219,27 @@ class DoseLink:
         if doses.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise DataError("dose link is not strictly monotone over observed doses")
 
+    def gaps(self, z_a, z_b) -> np.ndarray:
+        """|link(z_a) - link(z_b)| elementwise, after validating the link on
+        the doses of both arrays.
+
+        Returns a new array and never writes into ``z_a`` or ``z_b``.  The
+        identity link checks for NaN doses and takes |z_a - z_b| in one
+        array, without copying or concatenating the doses.
+        """
+        if self.kind != "identity":
+            self.validate_on(np.concatenate([z_a, z_b]))
+            return np.abs(self.apply(z_a) - self.apply(z_b))
+        # monotone by construction, so each array can be checked alone
+        self.validate_on(z_a)
+        self.validate_on(z_b)
+        gaps = np.subtract(z_a, z_b, dtype=float)
+        return np.abs(gaps, out=gaps)
+
 
 def link_gaps(sample: MatchedSample, link: DoseLink) -> np.ndarray:
     """|link(z_hi) - link(z_lo)| per pair, after validating the link."""
-    doses = np.concatenate([sample.z_lo(), sample.z_hi()])
-    link.validate_on(doses)
-    return np.abs(link.apply(sample.z_hi()) - link.apply(sample.z_lo()))
+    return link.gaps(sample.z_hi(), sample.z_lo())
 
 
 # ----------------------------------------------------------- effect model --

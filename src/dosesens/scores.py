@@ -36,12 +36,36 @@ def rank(values, ties: str = "average") -> np.ndarray:
     """Ranks 1..n of a 1-d array; a block of tied values shares the mean
     (``"average"``) or the largest (``"max"``) of the ranks it spans.
 
-    Ranks are integers or half-integers, exact in float64.
+    One argsort orders the values, and running minima and maxima over the
+    sorted positions find where each block of equal values ends and starts;
+    NaNs form one block, as they do in ``np.unique``.  Ranks are integers or
+    half-integers, exact in float64.
     """
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    top = np.cumsum(counts)
-    shared = top if ties == "max" else top - 0.5 * (counts - 1)
-    return shared[inverse].astype(float)
+    values = np.asarray(values)
+    n = values.size
+    order = np.argsort(values)
+    ordered = values[order]
+    # tied[i]: sorted positions i and i + 1 hold one value
+    tied = ordered[1:] == ordered[:-1]
+    if n and ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        tied[np.searchsorted(ordered, ordered[-1]):] = True  # NaNs sort last
+    del ordered
+    # last (0-based) sorted position of each position's block
+    shared = np.arange(n, dtype=float)
+    np.copyto(shared[:-1], np.inf, where=tied)
+    np.minimum.accumulate(shared[::-1], out=shared[::-1])
+    if ties == "max":
+        shared += 1.0
+    else:
+        first = np.arange(n, dtype=float)
+        np.copyto(first[1:], -np.inf, where=tied)
+        np.maximum.accumulate(first, out=first)
+        shared += first
+        shared *= 0.5
+        shared += 1.0
+    ranks = np.empty(n)
+    ranks[order] = shared
+    return ranks
 
 
 _STRICT_TIES = "tied absolute differences under ties='strict'"

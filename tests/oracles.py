@@ -15,7 +15,8 @@ the batched power chunks, which must match them bit for bit and raise the
 same errors.  The per-node construction of the weak-null coefficient rows
 (``np.where`` on the fixed pairs, the chord computed on the free subset) is
 kept as the reference for the rows the search builds once, which must match
-it bit for bit.
+it bit for bit.  The ``np.unique`` construction of ranks is kept as the
+reference for ``dosesens.scores.rank``, which must match it bit for bit.
 """
 
 import itertools
@@ -376,6 +377,15 @@ def reference_node_coeffs(search, wfix):
 # ------------------------------------------------- asymptotic root solves --
 
 _BISECT_ITER = 200
+
+
+def reference_rank(values, ties="average"):
+    """Ranks 1..n from ``np.unique``'s inverse and counts: a block of tied
+    values shares the mean or the largest of the ranks it spans."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    top = np.cumsum(counts)
+    shared = top if ties == "max" else top - 0.5 * (counts - 1)
+    return shared[inverse].astype(float)
 
 
 def reference_design_sensitivity(dgp, tol=1e-6, stream=()):

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from dosesens.cli import main
+from dosesens.dgps import DgpSpec
 from dosesens.pairs import write_csv
 
 
@@ -176,6 +177,33 @@ def test_bahadur_runs(schema):
     )
     payload = check(proc, schema)
     assert payload["report"]["slope"] > 0.0
+
+
+@pytest.mark.parametrize("command", ["design-sens", "bahadur"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_draws_above_the_cap_are_a_config_error(command, source, tmp_path, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the draw was attempted")
+
+    monkeypatch.setattr(DgpSpec, "draw", no_draw)
+    argv = [command, "--dgp", "paired-normal", "--seed", "4"]
+    if command == "bahadur":
+        argv += ["--gamma-bar", "1.1"]
+    if source == "flag":
+        argv += ["--draws", "20000001"]
+    else:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"draws": 20_000_001}))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == "config-error"
+    assert "mc_draws must be at most 20000000" in error["message"]
+    DgpSpec(mc_draws=20_000_000)  # the cap itself is allowed
 
 
 def test_weak_null_point_and_ci(pairs_csv, schema):
