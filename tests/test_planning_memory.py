@@ -33,11 +33,11 @@ def _peak_bytes_per_draw(solve, dgp):
 @pytest.mark.parametrize(
     "solve,dgp,bound",
     [
-        # 40.0 bytes a draw here; 67.0 before the draw arrays were dropped early
+        # 40.0 bytes a draw (NumPy 2.4); 67.0 while the draw arrays lived to the end
         (design_sensitivity,
          dict(sampler="constant-gap", params={"effect": 0.5, "gap": 1.0}, phi="mcnemar"),
          44.0),
-        # 42.0 bytes a draw here; 130.0 when np.unique took the ranks
+        # 42.0 bytes a draw (NumPy 2.4); 130.0 when np.unique took the ranks
         (lambda dgp: bahadur_slope(dgp, gamma_bar=1.2),
          dict(sampler="paired-normal", params={"effect": 0.5}, phi="wilcoxon"),
          46.0),
