@@ -81,6 +81,9 @@ def _dose_link(spec: str) -> DoseLink:
     return DoseLink(kind="table", table=table)
 
 
+GRID_MAX_POINTS = 100_000
+
+
 def _parse_grid(text: str):
     """Parse ``lo:hi:step`` or a comma-separated list into floats."""
     if ":" in text:
@@ -91,9 +94,14 @@ def _parse_grid(text: str):
             lo, hi, step = (float(p) for p in parts)
         except ValueError as err:
             raise ConfigError(f"could not parse grid {text!r}: {err}") from err
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise ConfigError(f"grid {text!r} needs finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise ConfigError("grid needs step > 0 and hi >= lo")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        span = (hi - lo) / step + 1e-9  # inf when hi - lo overflows
+        if not span < GRID_MAX_POINTS:
+            raise ConfigError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
+        count = math.floor(span) + 1
         return [lo + k * step for k in range(count)]
     try:
         return [float(v) for v in text.split(",")]

@@ -16,6 +16,13 @@ grid length (one replicate of more pairs than that is one block).  Each step
 reproduces the arithmetic of scoring, calibrating and testing one replicate
 at a time bit for bit, so curves and errors are those of the one-at-a-time
 loop kept in the tests.
+
+Chunks go to a process pool only when more than one worker is asked for and
+the study's replicates x pairs x grid points reach ``POOL_MIN_WORK`` (1.5
+million).  Below it a study runs in one process whatever the worker count:
+on 2 vCPUs, a fresh `dosesens power-sim` of 500 pairs, 400 replicates and 5
+grid points took 502 ms with one worker and 575 ms with two.  A pool never
+has more processes than chunks or than the CPUs the process may use.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,17 +59,43 @@ def _mc_seed(seed: int, rep: int) -> int:
     return int(child_seed_sequence(seed, STREAM_POWER, rep, 1).generate_state(1)[0])
 
 
-def _map_chunks(fn, chunks, workers: int) -> list:
-    """``[fn(c) for c in chunks]``, across a process pool when ``workers > 1``.
+# Replicates x pairs x grid points below which a pool costs more than it
+# saves.  Fresh-process `dosesens power-sim` wall times, medians of five
+# alternating runs, --workers 1 against 2 (2 vCPUs, paired normal, Wilcoxon):
+#   500 pairs x 400 reps x 5 points (1.0e6):   502 against 575 ms;
+#   750 x 400 x 5 (1.5e6):                      500 against 507 ms;
+#   300 x 1,000 x 5 (1.5e6):                    641 against 671 ms;
+#   150 x 1,000 x 10 (1.5e6):                   757 against 519 ms;
+#   1,000 x 400 x 5 (2.0e6):                    572 against 664 ms;
+#   400 x 1,000 x 5 (2.0e6):                    696 against 482 ms;
+#   2,000 x 400 x 5 (4.0e6):                    968 against 829 ms.
+POOL_MIN_WORK = 1_500_000
+
+
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Processes worth opening: no more than requested, than chunks, or than
+    the CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, n_chunks, cpus))
+
+
+def _map_chunks(fn, chunks, workers: int, work: int) -> list:
+    """``[fn(c) for c in chunks]``, across a process pool when more than one
+    worker is asked for and ``work`` (replicates x pairs x grid points)
+    reaches ``POOL_MIN_WORK``.
 
     The pool module is imported here, the one place that opens a pool, so
     importing the package does not load ``multiprocessing``.
     """
-    if workers <= 1:
+    size = _pool_size(workers, len(chunks)) if work >= POOL_MIN_WORK else 1
+    if size <= 1:
         return [fn(c) for c in chunks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, chunks))
 
 
@@ -264,7 +298,7 @@ def power_curve(
          min(CHUNK_REPS, reps - start))
         for start in range(0, reps, CHUNK_REPS)
     ]
-    parts = _map_chunks(_power_chunk, chunks, workers)
+    parts = _map_chunks(_power_chunk, chunks, workers, reps * n_pairs * len(grid))
     hits = np.sum(parts, axis=0, dtype=int)
     estimates = []
     for gamma_bar, rejections in zip(grid, hits):
@@ -341,7 +375,7 @@ def empirical_slope(
         (dgp, n_pairs, gamma_bar, spec, seed, start, min(CHUNK_REPS, reps - start))
         for start in range(0, reps, CHUNK_REPS)
     ]
-    parts = _map_chunks(_slope_chunk, chunks, workers)
+    parts = _map_chunks(_slope_chunk, chunks, workers, reps * n_pairs)
     rates = np.concatenate([np.asarray(p) for p in parts])
     return SlopeEstimate(
         gamma_bar=float(gamma_bar),

@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 from scipy import optimize, special
 
-from dosesens import tails
+from dosesens import gammas, tails
 from dosesens.asymptotics import DesignSensitivityResult, _population_components
 from dosesens.errors import ConfigError, DataError, SolverError
 from dosesens.gammas import MAX_EXPONENT, _schedule_from_gamma_gaps
@@ -548,6 +548,77 @@ def reference_gamma_for_mean_bound(gamma_bar, gaps, tol=1e-10):
             f"gamma_bar={target:g} not reached within {_BISECT_ITER} bisection steps"
         )
     return mid
+
+
+def reference_mean_bound_rows(targets, gaps, tol=1e-10):
+    """``(gamma, status)`` of every (gap row, target) pair, by the row-wise
+    bisection that evaluated the mean at every step: the doubling phase,
+    then bisection with the stop rule of :func:`reference_gamma_for_mean_bound`,
+    all rows at once, each freezing when it stops.  Status codes are those of
+    ``dosesens.gammas``."""
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    gaps = np.asarray(gaps, dtype=float)
+    n_rows, n = gaps.shape
+    max_gap = gaps.max(axis=1, initial=0.0)
+    status = np.full((n_rows, targets.size), gammas._SOLVED, dtype=np.int8)
+    status[max_gap == 0.0, :] = gammas._ZERO_GAPS
+    status[:, targets == 1.0] = gammas._SOLVED
+    status[np.any(gaps < 0, axis=1), :] = gammas._NEGATIVE_GAP
+    status[:, ~(targets >= 1.0)] = gammas._BELOW_ONE
+    gamma = np.full(status.shape, np.nan)
+    gamma[:, targets == 1.0] = 0.0
+    k = np.flatnonzero((status == gammas._SOLVED) & (targets != 1.0))
+    if k.size:
+        rows = k // targets.size
+        gamma.flat[k], status.flat[k] = _reference_bisect_rows(
+            targets[k % targets.size], gaps[rows], MAX_EXPONENT / max_gap[rows], tol
+        )
+    return gamma, status
+
+
+def _reference_bisect_rows(target, gaps, gamma_cap, tol):
+    n = gaps.shape[1]
+
+    def mean_bound(g):
+        return np.add.reduce(np.exp(g[:, None] * gaps), axis=1) / n
+
+    status = np.full(target.shape, gammas._SOLVED, dtype=np.int8)
+    lo = np.zeros_like(target)
+    hi = np.where(gamma_cap < 1.0, gamma_cap, 1.0)
+    capped = np.zeros(target.shape, dtype=bool)
+    grow = np.ones(target.shape, dtype=bool)
+    while True:
+        short = grow & (mean_bound(hi) < target)
+        status[short & capped] = gammas._OVERFLOW
+        grow = short & ~capped
+        if not grow.any():
+            break
+        lo = np.where(grow, hi, lo)
+        doubled = 2.0 * hi
+        over = grow & (doubled > gamma_cap)
+        capped |= over
+        hi = np.where(over, gamma_cap, np.where(grow, doubled, hi))
+    gamma = np.full(target.shape, np.nan)
+    active = status == gammas._SOLVED
+    slack = tol * target
+    for _ in range(_BISECT_ITER):
+        if not active.any():
+            return gamma, status
+        mid = 0.5 * (lo + hi)
+        value = mean_bound(mid)
+        done = active & (np.abs(value - target) <= slack)
+        done &= hi - lo <= 1e-12 * np.maximum(1.0, mid)
+        gamma[done] = mid[done]
+        active &= ~done
+        below = value < target
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+    mid = 0.5 * (lo + hi)
+    missed = active & (np.abs(mean_bound(mid) - target) > tol * target)
+    reached = active & ~missed
+    gamma[reached] = mid[reached]
+    status[missed] = gammas._UNREACHED
+    return gamma, status
 
 
 def reference_power_hits(

@@ -296,6 +296,49 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert _loaded_by_cli_import("concurrent.futures.process") == "False"
 
 
+def test_small_power_sim_with_two_workers_opens_no_pool():
+    # below the break-even work a pool costs more than it saves
+    code = (
+        "import sys; from dosesens.cli import main; "
+        "rc = main(['power-sim', '--n-pairs', '30', '--reps', '200', '--gamma-bar-grid', "
+        "'1.0,1.5', '--seed', '4', '--workers', '2']); "
+        "print(rc, 'concurrent.futures.process' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-1] == "0 False", proc.stderr
+
+
+_HEADS = {
+    "--gamma-bar-grid": ["power-sim", "--n-pairs", "30", "--reps", "200", "--seed", "1"],
+    "--beta-grid": ["ci", "tests/golden/pairs_60.csv", "--gamma-bar", "1.5"],
+    "--grid": ["weak-null", "tests/golden/pairs_x1.csv", "--gamma-bar", "1.5", "--ci"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_HEADS))
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        ("0:inf:1", "finite"),
+        ("0:nan:1", "finite"),
+        ("nan:1:0.5", "finite"),
+        ("0:1:nan", "finite"),
+        ("0:1e12:1", "more than 100000 points"),
+        ("-1e308:1e308:1e-300", "more than 100000 points"),
+    ],
+)
+def test_non_finite_or_huge_grids_are_config_errors(flag, grid, message, capsys):
+    # each is rejected before any grid point is made
+    root = Path(__file__).parent.parent
+    head = [str(root / a) if a.endswith(".csv") else a for a in _HEADS[flag]]
+    assert main([*head, f"{flag}={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["code"] == "config-error"
+    assert message in error["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

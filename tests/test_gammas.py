@@ -1,5 +1,7 @@
 """Per-pair bias bounds: construction, the mean-bound inversion, JSON."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dosesens import gammas
+from dosesens.asymptotics import _population_components
+from dosesens.dgps import DgpSpec
 from dosesens.errors import ConfigError, DataError, SolverError
 from dosesens.gammas import (
     GammaSchedule,
@@ -20,7 +24,11 @@ from dosesens.gammas import (
 )
 from dosesens.pairs import DoseLink
 
-from oracles import assignment_bounds, reference_gamma_for_mean_bound
+from oracles import (
+    assignment_bounds,
+    reference_gamma_for_mean_bound,
+    reference_mean_bound_rows,
+)
 
 
 def test_rate_to_bounds_hand_example(three_pairs):
@@ -272,3 +280,84 @@ def test_p_plus_rows_equal_each_schedule():
         np.testing.assert_array_equal(p_plus[j], rows.schedule(1, j).p_plus)
     with pytest.raises(ConfigError):
         rows.schedule(1, 2)
+
+
+def _gap_rows(rng, kind, rows, n):
+    if kind == "zero":  # zero gaps in every row, and a row of them
+        gaps = rng.uniform(0.0, 3.0, (rows, n))
+        gaps[:, ::2] = 0.0
+        gaps[rng.integers(0, rows)] = 0.0
+        return gaps
+    if kind == "tiny":  # gamma far above 1, many doublings
+        return rng.uniform(0.0, 1e-4, (rows, n))
+    if kind == "near-cap":  # the exp() cap lies below 1
+        return rng.uniform(0.0, 3000.0, (rows, n))
+    if kind == "constant":
+        return np.full((rows, n), rng.uniform(0.01, 3.0))
+    return rng.uniform(0.0, 3.0, (rows, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["zero", "tiny", "near-cap", "constant", "uniform"]),
+    n=st.integers(min_value=1, max_value=2000),
+    rows=st.integers(min_value=1, max_value=200),
+    picks=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=5),
+    tol=st.sampled_from([1e-10, 1e-12]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_certified_inversion_replays_the_bisection_bit_for_bit(kind, n, rows, picks, tol, seed):
+    rng = np.random.default_rng(seed)
+    rows = max(1, min(rows, 100_000 // n))
+    gaps = _gap_rows(rng, kind, rows, n)
+    row = gaps[rng.integers(0, rows)]
+    with np.errstate(over="ignore"):
+        edge = float(np.exp(700.0 / row.max() * row).mean()) if row.max() > 0 else 2.0
+    pool = [1.0, 1.0 + 1e-12, 1.5, 1e6, edge * (1 - 1e-9), edge * (1 + 1e-9),
+            float("nan"), 0.5]
+    targets = [pool[i] for i in picks]
+    with np.errstate(over="ignore"):
+        got = mean_bound_rows(targets, gaps, tol=tol)
+        gamma, status = reference_mean_bound_rows(targets, gaps, tol=tol)
+    assert got.gamma.tobytes() == gamma.tobytes()
+    assert got.status.tobytes() == status.tobytes()
+
+
+class _CountingNumpy(types.ModuleType):
+    """NumPy with a count of ``exp`` calls: one per pass over the gaps."""
+
+    def __init__(self):
+        super().__init__("numpy")
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.exp_calls += 1
+        return np.exp(*args, **kwargs)
+
+
+def _mean_evaluations(monkeypatch, gamma_bar, gaps, tol=gammas.BISECTION_TOL):
+    counting = _CountingNumpy()
+    with monkeypatch.context() as patch:
+        patch.setattr(gammas, "np", counting)
+        gamma = gamma_for_mean_bound(gamma_bar, gaps, tol=tol)
+    assert gamma == reference_gamma_for_mean_bound(gamma_bar, gaps, tol=tol)
+    return counting.exp_calls
+
+
+def test_bahadur_inversion_takes_few_mean_evaluations(monkeypatch):
+    # the 400,000 frozen draws of a bahadur call, inverted at its tolerance;
+    # the bisection alone took 43 passes
+    dgp = DgpSpec(sampler="paired-normal", params={"effect": 0.5}, phi="wilcoxon",
+                  mc_draws=400_000, seed=3)
+    gaps = _population_components(dgp, ())[0]
+    for gamma_bar in (1.05, 1.5, 2.6, 8.0):
+        assert _mean_evaluations(monkeypatch, gamma_bar, gaps, tol=1e-12) <= 14
+
+
+def test_schedule_inversion_takes_few_mean_evaluations(monkeypatch):
+    gaps = np.random.default_rng(15).uniform(0.25, 2.0, 15)
+    for gamma_bar in (1.25, 1.5, 2.0):
+        assert _mean_evaluations(monkeypatch, gamma_bar, gaps) <= 14

@@ -1,6 +1,8 @@
 """Power, slope-rate, and coverage simulations: determinism and calibration."""
 
+import concurrent.futures
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -77,6 +79,72 @@ def test_power_is_deterministic_and_worker_invariant():
     c = estimate_power(effect_dgp(0.6), workers=3, **kwargs)
     assert a.power == b.power == c.power
     assert a.rejections == c.rejections
+
+
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    """A real process pool that records the size it was opened with."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
+
+
+class _InProcessPool:
+    """Stands in for a process pool: records its size, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def test_small_studies_run_in_process_whatever_the_worker_count(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    _InProcessPool.sizes = []
+    estimate_power(effect_dgp(0.6), n_pairs=80, gamma_bar=1.3, spec=WILCOXON, reps=224,
+                   seed=11, workers=2)
+    assert _InProcessPool.sizes == []
+
+
+def test_the_pool_never_outgrows_the_chunks_or_the_cpus(monkeypatch):
+    # a huge --workers or DOSESENS_WORKERS once forked that many processes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    _InProcessPool.sizes = []
+    work = simulate.POOL_MIN_WORK
+    assert simulate._map_chunks(abs, [-1, -2, -3], 10**9, work) == [1, 2, 3]
+    size = min(3, _cpus())
+    assert _InProcessPool.sizes == ([size] if size > 1 else [])
+    assert simulate._pool_size(10**9, 10**9) == _cpus()
+    assert simulate._pool_size(0, 5) == 1
+
+
+def test_a_forced_pool_gives_the_in_process_curve(monkeypatch):
+    # studies this small run in one process; forcing the pool keeps its path
+    # tested and shows it leaves the curve unchanged
+    monkeypatch.setattr(simulate, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes = []
+    args = (effect_dgp(0.6), 60, [1.0, 1.3, 1.7], WILCOXON)
+    kwargs = dict(reps=203, seed=17)
+    one = power_curve(*args, workers=1, **kwargs)
+    two = power_curve(*args, workers=2, **kwargs)
+    assert json_text(two.to_json_dict()) == json_text(one.to_json_dict())
+    assert _RecordingPool.sizes == ([2] if _cpus() > 1 else [])
 
 
 def test_power_reps_floor_and_seed_required():
