@@ -256,8 +256,8 @@ def mean_bound_rows(targets, gaps, tol: float = BISECTION_TOL) -> MeanBoundRows:
 
 
 def _bisect_rows(target, gaps, max_gap, tol):
-    """Row-wise bisection: row i solves mean(exp(g * gaps[i])) = target[i]
-    with the bracket, doubling and stop rule of the scalar inversion.
+    """Row-wise inversion: row i solves mean(exp(g * gaps[i])) = target[i]
+    and gets the gamma and status of the scalar bisection.
 
     Each row runs :func:`_solve_row`; every round evaluates the means all
     unfinished rows ask for in one pass over their gaps.
@@ -279,16 +279,16 @@ def _bisect_rows(target, gaps, max_gap, tol):
     buf = np.empty_like(gaps)
     while rows:
         at = np.array([g for g, _ in asks])
-        G = gaps if len(rows) == n_rows else gaps[rows]
+        part = gaps if len(rows) == n_rows else gaps[rows]
         out = buf[:len(rows)]
         # what ndarray.mean computes on each row, without its per-call overhead
-        np.multiply(at[:, None], G, out=out)
+        np.multiply(at[:, None], part, out=out)
         np.exp(out, out=out)
         means = (np.add.reduce(out, axis=1) / n).tolist()
         slopes = means  # read only by rows that ask for the slope
         if any(want for _, want in asks):
             with np.errstate(over="ignore"):
-                np.multiply(out, G, out=out)
+                np.multiply(out, part, out=out)
                 slopes = (np.add.reduce(out, axis=1) / n).tolist()
         unfinished, asks = [], []
         for i, mean, slope in zip(rows, means, slopes):

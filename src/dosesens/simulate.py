@@ -20,7 +20,7 @@ loop kept in the tests.
 Chunks go to a process pool only when more than one worker is asked for and
 the study's replicates x pairs x grid points reach ``POOL_MIN_WORK`` (1.5
 million).  Below it a study runs in one process whatever the worker count:
-on 2 vCPUs, a fresh `dosesens power-sim` of 500 pairs, 400 replicates and 5
+on 2 vCPUs, a fresh ``dosesens power-sim`` of 500 pairs, 400 replicates and 5
 grid points took 502 ms with one worker and 575 ms with two.  A pool never
 has more processes than chunks or than the CPUs the process may use.
 """
@@ -60,7 +60,7 @@ def _mc_seed(seed: int, rep: int) -> int:
 
 
 # Replicates x pairs x grid points below which a pool costs more than it
-# saves.  Fresh-process `dosesens power-sim` wall times, medians of five
+# saves.  Fresh-process ``dosesens power-sim`` wall times, medians of five
 # alternating runs, --workers 1 against 2 (2 vCPUs, paired normal, Wilcoxon):
 #   500 pairs x 400 reps x 5 points (1.0e6):   502 against 575 ms;
 #   750 x 400 x 5 (1.5e6):                      500 against 507 ms;

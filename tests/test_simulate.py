@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dosesens import gammas, simulate
+from dosesens.cli import main
 from dosesens.dgps import DgpSpec
 from dosesens.errors import ConfigError
 from dosesens.gammas import _schedule_from_gamma_gaps
@@ -113,24 +114,22 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def test_small_studies_run_in_process_whatever_the_worker_count(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    _InProcessPool.sizes = []
-    estimate_power(effect_dgp(0.6), n_pairs=80, gamma_bar=1.3, spec=WILCOXON, reps=224,
-                   seed=11, workers=2)
-    assert _InProcessPool.sizes == []
-
-
-def test_the_pool_never_outgrows_the_chunks_or_the_cpus(monkeypatch):
+def test_the_pool_never_outgrows_the_chunks_or_the_cpus(monkeypatch, capsys):
     # a huge --workers or DOSESENS_WORKERS once forked that many processes
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    _InProcessPool.sizes = []
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
     work = simulate.POOL_MIN_WORK
     assert simulate._map_chunks(abs, [-1, -2, -3], 10**9, work) == [1, 2, 3]
-    size = min(3, _cpus())
-    assert _InProcessPool.sizes == ([size] if size > 1 else [])
     assert simulate._pool_size(10**9, 10**9) == _cpus()
     assert simulate._pool_size(0, 5) == 1
+    # seven chunks of 32 replicates
+    monkeypatch.setattr(simulate, "POOL_MIN_WORK", 0)
+    monkeypatch.setenv("DOSESENS_WORKERS", str(10**9))
+    assert main(["power-sim", "--n-pairs", "30", "--reps", "200", "--gamma-bar-grid",
+                 "1.0,1.5", "--seed", "4"]) == 0
+    capsys.readouterr()
+    sizes = [min(3, _cpus()), min(7, _cpus())]
+    assert _InProcessPool.sizes == [size for size in sizes if size > 1]
 
 
 def test_a_forced_pool_gives_the_in_process_curve(monkeypatch):
@@ -138,7 +137,7 @@ def test_a_forced_pool_gives_the_in_process_curve(monkeypatch):
     # tested and shows it leaves the curve unchanged
     monkeypatch.setattr(simulate, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    _RecordingPool.sizes = []
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
     args = (effect_dgp(0.6), 60, [1.0, 1.3, 1.7], WILCOXON)
     kwargs = dict(reps=203, seed=17)
     one = power_curve(*args, workers=1, **kwargs)
