@@ -308,7 +308,6 @@ def _gap_rows(rng, kind, rows, n):
 )
 def test_certified_inversion_replays_the_bisection_bit_for_bit(kind, n, rows, picks, tol, seed):
     rng = np.random.default_rng(seed)
-    rows = max(1, min(rows, 100_000 // n))
     gaps = _gap_rows(rng, kind, rows, n)
     row = gaps[rng.integers(0, rows)]
     with np.errstate(over="ignore"):
