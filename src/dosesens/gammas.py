@@ -20,7 +20,10 @@ one-row call.  A simulation chunk thus calibrates all its replicates and grid
 points in one pass per round.  Each pass takes the means as
 ``np.add.reduce(..., axis=1) / n``, which sums every row exactly as
 ``ndarray.mean`` sums it alone.  Rows are solved in blocks of at most
-``ROW_BLOCK`` floats.
+``ROW_BLOCK`` floats, a row counting its gaps or ``_ROW_STATE`` floats,
+whichever is more: each row keeps its bracket and certificate in about that
+many floats of arrays, so a block's state stays within the budget however
+short its rows are.
 
 The answer is the bisection's, bit for bit, but most of its steps are
 decided without a pass over the gaps.  Write f(g) = mean(exp(g * gap)) and
@@ -49,6 +52,13 @@ their value decides the stop, and so do midpoints within the margins.  A
 mean that overflows to inf certifies nothing, so such a row evaluates every
 step above it, as the plain bisection does.  A row thus takes about ten
 passes where the bisection took about forty-three.
+
+The certified steps cost no pass, but replaying them one at a time would
+cost some forty array operations per block.  Where the bracket is a dyadic
+interval, as the doubling phase leaves it, the midpoints are exact, so a run
+of certified steps follows the binary digits that the two ends of the
+certificate window share, and :func:`_jump` takes the run at once.  The
+remaining steps are replayed one by one.
 """
 
 from __future__ import annotations
@@ -219,6 +229,7 @@ class MeanBoundRows:
 
 
 ROW_BLOCK = 1 << 20  # floats in the largest temporary of the row-wise bisection
+_ROW_STATE = 32  # floats of state the bisection keeps per row, at most
 
 
 def mean_bound_rows(targets, gaps, tol: float = BISECTION_TOL) -> MeanBoundRows:
@@ -244,7 +255,7 @@ def mean_bound_rows(targets, gaps, tol: float = BISECTION_TOL) -> MeanBoundRows:
     gamma[:, targets == 1.0] = 0.0
 
     todo = np.flatnonzero((status == _SOLVED) & (targets != 1.0))
-    block = max(1, ROW_BLOCK // max(n, 1))
+    block = max(1, ROW_BLOCK // max(n, _ROW_STATE))
     for k in (todo[i:i + block] for i in range(0, todo.size, block)):
         rows = k // targets.size
         # every row of a C-ordered array, in order: no copy needed
@@ -257,136 +268,187 @@ def mean_bound_rows(targets, gaps, tol: float = BISECTION_TOL) -> MeanBoundRows:
 
 def _bisect_rows(target, gaps, max_gap, tol):
     """Row-wise inversion: row i solves mean(exp(g * gaps[i])) = target[i]
-    and gets the gamma and status of the scalar bisection.
+    and gets the gamma and status of the plain bisection.
 
-    Each row runs :func:`_solve_row`; every round evaluates the means all
-    unfinished rows ask for in one pass over their gaps.
+    Every phase keeps its rows' state in arrays and evaluates the means its
+    unfinished rows ask for in one pass over their gaps.  The doubling phase
+    and the bisection are those of the plain bisection.  Between them,
+    safeguarded Newton steps on log mean(exp(g * gap)) and at most
+    ``_PROBES`` probes narrow the evaluated bracket a < b, whose comparisons
+    certify the bisection steps far enough outside it (see the module
+    docstring).
     """
     n_rows, n = gaps.shape
-    mean_gap = np.add.reduce(gaps, axis=1) / n
-    log2_n = math.log2(n)
-    solvers = [
-        _solve_row(*row, log2_n, tol)
-        for row in zip(
-            target.tolist(), (MAX_EXPONENT / max_gap).tolist(), max_gap.tolist(),
-            mean_gap.tolist(),
-        )
-    ]
-    gamma = np.full(n_rows, np.nan)
-    status = np.full(n_rows, _SOLVED, dtype=np.int8)
-    rows = list(range(n_rows))
-    asks = [solver.send(None) for solver in solvers]
     buf = np.empty_like(gaps)
-    while rows:
-        at = np.array([g for g, _ in asks])
-        part = gaps if len(rows) == n_rows else gaps[rows]
-        out = buf[:len(rows)]
+
+    def means(rows, at, slope=False):
         # what ndarray.mean computes on each row, without its per-call overhead
+        part = gaps if rows.size == n_rows else gaps[rows]
+        out = buf[:rows.size]
         np.multiply(at[:, None], part, out=out)
         np.exp(out, out=out)
-        means = (np.add.reduce(out, axis=1) / n).tolist()
-        slopes = means  # read only by rows that ask for the slope
-        if any(want for _, want in asks):
-            with np.errstate(over="ignore"):
-                np.multiply(out, part, out=out)
-                slopes = (np.add.reduce(out, axis=1) / n).tolist()
-        unfinished, asks = [], []
-        for i, mean, slope in zip(rows, means, slopes):
-            try:
-                asks.append(solvers[i].send((mean, slope)))
-                unfinished.append(i)
-            except StopIteration as stop:
-                gamma[i], status[i] = stop.value
-        rows = unfinished
-    return gamma, status
+        value = np.add.reduce(out, axis=1) / n
+        if not slope:
+            return value
+        with np.errstate(over="ignore"):
+            np.multiply(out, part, out=out)
+        return value, np.add.reduce(out, axis=1) / n
 
+    gamma_cap = MAX_EXPONENT / max_gap
+    status = np.full(n_rows, _SOLVED, dtype=np.int8)
+    lo = np.zeros(n_rows)
+    hi = np.where(gamma_cap < 1.0, gamma_cap, 1.0)
+    capped = np.zeros(n_rows, dtype=bool)
+    value, slope = np.empty(n_rows), np.empty(n_rows)
+    rows = np.arange(n_rows)
+    while rows.size:
+        value[rows], slope[rows] = means(rows, hi[rows], slope=True)
+        short = value[rows] < target[rows]
+        status[rows[short & capped[rows]]] = _OVERFLOW
+        rows = rows[short & ~capped[rows]]
+        lo[rows] = hi[rows]
+        doubled = 2.0 * hi[rows]
+        over = doubled > gamma_cap[rows]
+        hi[rows] = np.where(over, gamma_cap[rows], doubled)
+        capped[rows] |= over
 
-def _solve_row(target, gamma_cap, max_gap, mean_gap, log2_n, tol):
-    """The scalar inversion of one row, as a generator: it yields
-    ``(gamma, slope_wanted)`` for each mean it needs, receives
-    ``(mean, slope)`` and returns ``(gamma, status)``.
-
-    The doubling phase and the bisection are those of the scalar inversion.
-    Between them, safeguarded Newton steps on log mean(exp(g * gap)) and at
-    most ``_PROBES`` probes narrow the evaluated bracket a < b, whose
-    comparisons certify the bisection steps far enough outside it (see the
-    module docstring).
-    """
-    lo = 0.0
-    hi = gamma_cap if gamma_cap < 1.0 else 1.0
-    capped = False
-    while True:
-        value, slope = yield hi, True
-        if not value < target:
-            break
-        if capped:
-            return math.nan, _OVERFLOW
-        lo = hi
-        hi = 2.0 * hi
-        if hi > gamma_cap:
-            hi, capped = gamma_cap, True
+    # from here on, state is held for the rows the doubling left bracketed
+    gamma = np.full(n_rows, np.nan)
+    rows = np.flatnonzero(status == _SOLVED)
+    target, lo, hi = target[rows], lo[rows], hi[rows]
+    value, slope = value[rows], slope[rows]
+    part = gaps if rows.size == n_rows else gaps[rows]
+    mean_gap = np.add.reduce(part, axis=1) / n
+    del part
 
     # a and b are evaluated rates with computed means below and not below
     # the target; b_mean may be inf, when no step above b is certified
-    a, b, b_mean = lo, hi, value
-    eps = _ULP * (log2_n + 32.0 + hi * max_gap)
-    margin = 4.0 * eps / mean_gap if mean_gap > 0.0 else math.inf
-    log_target = math.log(target)
-    x, step, est = hi, math.inf, math.nan
-    for _ in range(_NEWTON_ITER):
-        if value < math.inf and 0.0 < slope < math.inf:
-            step = (math.log(value) - log_target) * value / slope
-            est = x - step
-            if abs(step) <= margin:
-                break
-        else:
-            step, est = math.inf, math.nan
-        x = est if a < est < b else 0.5 * (a + b)
-        value, slope = yield x, True
-        if value < target:
-            a = x
-        else:
-            b, b_mean = x, value
-    reach = margin + abs(step)
-    for _ in range(_PROBES):
-        if a < est - reach < b:
-            x = est - reach
-        elif a < est + reach < b:
-            x = est + reach
-        else:
-            break
-        value, _ = yield x, False
-        if value < target:
-            a = x
-        else:
-            b, b_mean = x, value
-        reach *= 16.0
-    below = a - margin
-    above = b + margin if b_mean < math.inf else math.inf
+    a, b, b_mean = lo.copy(), hi.copy(), value.copy()
+    eps = _ULP * (math.log2(n) + 32.0 + hi * max_gap[rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = np.where(mean_gap > 0.0, 4.0 * eps / mean_gap, np.inf)
+    log_target = np.log(target)
+    x, step, est = hi.copy(), np.full(rows.size, np.inf), np.full(rows.size, np.nan)
 
+    def update(act, at, mean):
+        short = mean < target[act]
+        a[act] = np.where(short, at, a[act])
+        b[act] = np.where(short, b[act], at)
+        b_mean[act] = np.where(short, b_mean[act], mean)
+
+    act = np.arange(rows.size)
+    for _ in range(_NEWTON_ITER):
+        v, s = value[act], slope[act]
+        ok = (v < np.inf) & (0.0 < s) & (s < np.inf)
+        with np.errstate(all="ignore"):
+            step[act] = np.where(ok, (np.log(v) - log_target[act]) * v / s, np.inf)
+        est[act] = np.where(ok, x[act] - step[act], np.nan)
+        act = act[~(ok & (np.abs(step[act]) <= margin[act]))]
+        if not act.size:
+            break
+        e, lower, upper = est[act], a[act], b[act]
+        x[act] = np.where((lower < e) & (e < upper), e, 0.5 * (lower + upper))
+        value[act], slope[act] = means(rows[act], x[act], slope=True)
+        update(act, x[act], value[act])
+
+    reach = margin + np.abs(step)
+    act = np.arange(rows.size)
+    for _ in range(_PROBES):
+        e, r, lower, upper = est[act], reach[act], a[act], b[act]
+        left = (lower < e - r) & (e - r < upper)
+        right = (lower < e + r) & (e + r < upper)
+        probe = left | right
+        act, at = act[probe], np.where(left, e - r, e + r)[probe]
+        if not act.size:
+            break
+        update(act, at, means(rows[act], at))
+        reach[act] *= 16.0
+    below = a - margin
+    above = np.where(b_mean < np.inf, b + margin, np.inf)
+
+    # the bisection; steps certified by the bracket advance without a pass
     slack = tol * target
-    coarse = 1e-12 * (hi if hi > 1.0 else 1.0)  # no mid exceeds hi
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        wide = hi - lo > coarse or hi - lo > 1e-12 * (mid if mid > 1.0 else 1.0)
-        if wide and mid < below:
-            lo = mid
-            continue
-        if wide and mid > above:
-            hi = mid
-            continue
-        value, _ = yield mid, False
-        if not wide and abs(value - target) <= slack:
-            return mid, _SOLVED
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    value, _ = yield mid, False
-    if abs(value - target) > tol * target:
-        return math.nan, _UNREACHED
-    return mid, _SOLVED
+    taken = np.zeros(rows.size, dtype=np.int64)
+    act = np.arange(rows.size)
+    while act.size:
+        beneath, beyond = below[act], above[act]
+        low, high, k = _jump(lo[act], hi[act], beneath, beyond, taken[act])
+        mid, wide = _midpoint(low, high)
+        up, down = np.empty_like(wide), np.empty_like(wide)
+        # a row stays put once it meets a step it must evaluate
+        for _ in range(_MAX_ITER - int(k.max())):
+            np.less(mid, beneath, out=up)
+            up &= wide
+            np.greater(mid, beyond, out=down)
+            down &= wide
+            np.copyto(low, mid, where=up)
+            np.copyto(high, mid, where=down)
+            up |= down
+            if not np.count_nonzero(up):
+                break
+            k += up
+            mid, wide = _midpoint(low, high)
+        v = means(rows[act], mid)
+        miss = np.abs(v - target[act])
+        last = k >= _MAX_ITER
+        solved = np.where(last, ~(miss > slack[act]), ~wide & (miss <= slack[act]))
+        gamma[rows[act[solved]]] = mid[solved]
+        status[rows[act[last & ~solved]]] = _UNREACHED
+        short = v < target[act]
+        lo[act] = np.where(short, mid, low)
+        hi[act] = np.where(short, high, mid)
+        taken[act] = k + 1
+        act = act[~(solved | last)]
+    return gamma, status
+
+
+def _midpoint(lo, hi):
+    """The bisection's midpoints, and whether the width test lets it go on."""
+    mid = lo + hi
+    mid *= 0.5
+    return mid, hi - lo > 1e-12 * np.maximum(mid, 1.0)
+
+
+_GRID = 52  # bits of the bracket the jump reads its steps from
+
+
+def _jump(lo, hi, below, above, taken):
+    """Take at once the certified steps whose midpoints are exact.
+
+    Say the computed width w = hi - lo is a power of two, lo is a multiple
+    of G = w / 2^s and hi < 2^53 G, as on the brackets the doubling phase
+    leaves.  Then w is exact, and the next s midpoints and the sums they
+    halve are multiples of G below 2^54 G, which need no rounding.  While
+    the bracket is wide and the certificate window [below, above] lies in
+    one half of it, each step moves into that half.  In units of w / 2^52
+    from lo, those steps follow the leading binary digits that the window's
+    ends share; the ends are taken a little outside the window, which only
+    shortens the jump.  Rows the jump cannot take stay where they are, and
+    the step-by-step loop replays them.
+    """
+    w = hi - lo
+    frac, e_w = np.frexp(w)  # w = 2^(e_w - 1) when frac is 1/2
+    # the width stays above every 1e-12 * max(mid, 1) for s <= e_w - e_t steps
+    _, e_t = np.frexp(1e-12 * np.maximum(hi, 1.0) * (1.0 + 1e-15))
+    _, e_hi = np.frexp(hi)
+    top = float(2**_GRID - 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        unit = _GRID - (e_w - 1)
+        first = np.clip(np.floor(np.ldexp(below - lo, unit)) - 2.0, -1.0, top)
+        last = np.clip(np.floor(np.ldexp(above - lo, unit)) + 2.0, -1.0, top)
+    first, last = first.astype(np.int64), last.astype(np.int64)
+    _, bits = np.frexp((first ^ last).astype(float))
+    steps = np.where(first < 0, 0, _GRID - bits)
+    steps = np.minimum(steps, np.minimum(e_w - e_t, 52 + e_w - e_hi))  # hi < 2^53 G
+    steps = np.clip(np.minimum(steps, _MAX_ITER - taken), 0, None)
+    grid = np.ldexp(1.0, e_w - 1 - steps)
+    exact = (frac == 0.5) & (grid >= 2.0**-1000)
+    exact &= np.floor(lo / grid) == lo / grid
+    steps = np.where(exact, steps, 0)
+    jumped = lo + grid * (last >> (_GRID - steps))
+    lo = np.where(steps > 0, jumped, lo)
+    hi = np.where(steps > 0, jumped + grid, hi)
+    return lo, hi, taken + steps
 
 
 def gamma_for_mean_bound(

@@ -17,12 +17,14 @@ reproduces the arithmetic of scoring, calibrating and testing one replicate
 at a time bit for bit, so curves and errors are those of the one-at-a-time
 loop kept in the tests.
 
-Chunks go to a process pool only when more than one worker is asked for and
-the study's replicates x pairs x grid points reach ``POOL_MIN_WORK`` (1.5
-million).  Below it a study runs in one process whatever the worker count:
-on 2 vCPUs, a fresh ``dosesens power-sim`` of 500 pairs, 400 replicates and 5
-grid points took 502 ms with one worker and 575 ms with two.  A pool never
-has more processes than chunks or than the CPUs the process may use.
+Chunks go to a process pool when more than one worker is asked for, except
+that a normal-route power curve whose estimated work (``_power_work``) is
+below ``POOL_MIN_WORK`` runs in one process whatever the worker count: on 2
+vCPUs, a fresh ``dosesens power-sim`` of 200 pairs, 600 replicates and 5
+grid points, about at that work, took 492 ms with one worker and 457 ms with
+two, and one of 30 pairs, 200 replicates and 2 points 362 and 505 ms.  A
+pool never has more processes than chunks or than the CPUs the process may
+use.
 """
 
 from __future__ import annotations
@@ -59,17 +61,35 @@ def _mc_seed(seed: int, rep: int) -> int:
     return int(child_seed_sequence(seed, STREAM_POWER, rep, 1).generate_state(1)[0])
 
 
-# Replicates x pairs x grid points below which a pool costs more than it
-# saves.  Fresh-process ``dosesens power-sim`` wall times, medians of five
-# alternating runs, --workers 1 against 2 (2 vCPUs, paired normal, Wilcoxon):
-#   500 pairs x 400 reps x 5 points (1.0e6):   502 against 575 ms;
-#   750 x 400 x 5 (1.5e6):                      500 against 507 ms;
-#   300 x 1,000 x 5 (1.5e6):                    641 against 671 ms;
-#   150 x 1,000 x 10 (1.5e6):                   757 against 519 ms;
-#   1,000 x 400 x 5 (2.0e6):                    572 against 664 ms;
-#   400 x 1,000 x 5 (2.0e6):                    696 against 482 ms;
-#   2,000 x 400 x 5 (4.0e6):                    968 against 829 ms.
-POOL_MIN_WORK = 1_500_000
+# In-process work of a normal-route power curve, in units of one pair at one
+# grid point (about 85 ns on 2 vCPUs): drawing, ranking and scoring a
+# replicate cost about 2,800 units, and each grid point 80 besides its pairs.
+# The other routes run a full tail computation per replicate and grid point,
+# so they pool whenever asked.
+def _power_work(reps: int, n_pairs: int, points: int) -> int:
+    return reps * (2800 + points * (n_pairs + 80))
+
+
+# Work below which a pool costs more than it saves.  Fresh-process
+# ``dosesens power-sim`` wall times, --workers 1 against 2 with the pool
+# forced open, medians of nine alternating runs (seven where marked *) on 2
+# vCPUs, paired normal, Wilcoxon, pairs x replicates x points (work):
+#   30 x 200 x 2 (0.6e6)*:    362 against 505 ms;
+#   30 x 700 x 2 (2.1e6):     534 against 533 ms;
+#   500 x 400 x 5 (2.3e6):    491 against 452 ms;
+#   200 x 600 x 5 (2.5e6):    492 against 457 ms;
+#   750 x 400 x 5 (2.8e6):    532 against 502 ms;
+#   30 x 1,000 x 2 (3.0e6):   523 against 543 ms;
+#   1,500 x 300 x 5 (3.2e6):  592 against 604 ms;
+#   1,000 x 400 x 5 (3.3e6):  616 against 534 ms;
+#   30 x 1,000 x 10 (3.9e6):  618 against 524 ms;
+#   100 x 1,500 x 2 (4.7e6):  577 against 498 ms;
+#   100 x 1,000 x 10 (4.6e6)*: 669 against 547 ms;
+#   2,000 x 400 x 5 (5.3e6)*: 701 against 661 ms;
+#   30 x 2,000 x 10 (7.8e6)*: 943 against 716 ms.
+# Replicates x pairs x grid points does not decide it: 30 x 2,000 x 10 is
+# 0.6 million of those and gains most from the pool.
+POOL_MIN_WORK = 2_500_000
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -82,15 +102,14 @@ def _pool_size(workers: int, n_chunks: int) -> int:
     return max(1, min(workers, n_chunks, cpus))
 
 
-def _map_chunks(fn, chunks, workers: int, work: int) -> list:
+def _map_chunks(fn, chunks, workers: int) -> list:
     """``[fn(c) for c in chunks]``, across a process pool when more than one
-    worker is asked for and ``work`` (replicates x pairs x grid points)
-    reaches ``POOL_MIN_WORK``.
+    worker is asked for and there is more than one chunk.
 
     The pool module is imported here, the one place that opens a pool, so
     importing the package does not load ``multiprocessing``.
     """
-    size = _pool_size(workers, len(chunks)) if work >= POOL_MIN_WORK else 1
+    size = _pool_size(workers, len(chunks))
     if size <= 1:
         return [fn(c) for c in chunks]
     from concurrent.futures import ProcessPoolExecutor
@@ -298,7 +317,9 @@ def power_curve(
          min(CHUNK_REPS, reps - start))
         for start in range(0, reps, CHUNK_REPS)
     ]
-    parts = _map_chunks(_power_chunk, chunks, workers, reps * n_pairs * len(grid))
+    if method == "normal" and _power_work(reps, n_pairs, len(grid)) < POOL_MIN_WORK:
+        workers = 1  # a pool costs more than it saves
+    parts = _map_chunks(_power_chunk, chunks, workers)
     hits = np.sum(parts, axis=0, dtype=int)
     estimates = []
     for gamma_bar, rejections in zip(grid, hits):
@@ -375,7 +396,7 @@ def empirical_slope(
         (dgp, n_pairs, gamma_bar, spec, seed, start, min(CHUNK_REPS, reps - start))
         for start in range(0, reps, CHUNK_REPS)
     ]
-    parts = _map_chunks(_slope_chunk, chunks, workers, reps * n_pairs)
+    parts = _map_chunks(_slope_chunk, chunks, workers)
     rates = np.concatenate([np.asarray(p) for p in parts])
     return SlopeEstimate(
         gamma_bar=float(gamma_bar),

@@ -294,12 +294,16 @@ def _gap_rows(rng, kind, rows, n):
         return rng.uniform(0.0, 3000.0, (rows, n))
     if kind == "constant":
         return np.full((rows, n), rng.uniform(0.01, 3.0))
+    if kind == "sparse":  # one positive gap a row: the certificate window is wide
+        gaps = np.zeros((rows, n))
+        gaps[np.arange(rows), rng.integers(0, n, rows)] = rng.uniform(0.1, 3.0, rows)
+        return gaps
     return rng.uniform(0.0, 3.0, (rows, n))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["zero", "tiny", "near-cap", "constant", "uniform"]),
+    kind=st.sampled_from(["zero", "tiny", "near-cap", "constant", "sparse", "uniform"]),
     n=st.integers(min_value=1, max_value=2000),
     rows=st.integers(min_value=1, max_value=200),
     picks=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=5),

@@ -118,8 +118,7 @@ def test_the_pool_never_outgrows_the_chunks_or_the_cpus(monkeypatch, capsys):
     # a huge --workers or DOSESENS_WORKERS once forked that many processes
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    work = simulate.POOL_MIN_WORK
-    assert simulate._map_chunks(abs, [-1, -2, -3], 10**9, work) == [1, 2, 3]
+    assert simulate._map_chunks(abs, [-1, -2, -3], 10**9) == [1, 2, 3]
     assert simulate._pool_size(10**9, 10**9) == _cpus()
     assert simulate._pool_size(0, 5) == 1
     # seven chunks of 32 replicates
@@ -144,6 +143,17 @@ def test_a_forced_pool_gives_the_in_process_curve(monkeypatch):
     two = power_curve(*args, workers=2, **kwargs)
     assert json_text(two.to_json_dict()) == json_text(one.to_json_dict())
     assert _RecordingPool.sizes == ([2] if _cpus() > 1 else [])
+
+
+@pytest.mark.parametrize("method", ["exact", "monte-carlo", "auto"])
+def test_small_studies_off_the_normal_route_still_pool(method, monkeypatch):
+    # the break-even was measured on the normal route; each replicate of the
+    # others costs a full tail computation, so they pool as asked
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    power_curve(effect_dgp(0.6), 12, [1.0, 1.5], WILCOXON, reps=203, seed=3,
+                method=method, mc_reps=1000, workers=2)
+    assert _InProcessPool.sizes == ([2] if _cpus() > 1 else [])
 
 
 def test_power_reps_floor_and_seed_required():
@@ -429,13 +439,15 @@ def test_small_blocks_do_not_change_the_curve_or_its_error(dgp, grid, monkeypatc
 
 @pytest.mark.parametrize(
     "n_pairs,grid",
-    [(200, np.linspace(1.0, 2.0, 2000)), (20_000, [1.5])],
-    ids=["long-grid", "many-pairs"],
+    [(200, np.linspace(1.0, 2.0, 2000)), (10, np.linspace(1.0, 2.0, 2000)), (20_000, [1.5])],
+    ids=["long-grid", "short-rows-long-grid", "many-pairs"],
 )
 def test_power_curve_memory_stays_bounded(n_pairs, grid):
     # a whole chunk of 32 replicates spans 32 x 2,000 grid points x 200
     # pairs = 12.8M floats (98 MB) on the long grid, and its sixteen or so
-    # live arrays of 32 x 20,000 pairs take 82 MB on the many pairs
+    # live arrays of 32 x 20,000 pairs take 82 MB on the many pairs; on
+    # 10 pairs, the bisection's 64,000 rows would keep some 30 floats of
+    # state each (15 MB) if they were not blocked by ROW_BLOCK as well
     tracemalloc.start()
     try:
         curve = power_curve(effect_dgp(0.5), n_pairs, grid, WILCOXON, reps=200, seed=3)
