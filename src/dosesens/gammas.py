@@ -317,9 +317,7 @@ def _bisect_rows(target, gaps, max_gap, tol):
     rows = np.flatnonzero(status == _SOLVED)
     target, lo, hi = target[rows], lo[rows], hi[rows]
     value, slope = value[rows], slope[rows]
-    part = gaps if rows.size == n_rows else gaps[rows]
-    mean_gap = np.add.reduce(part, axis=1) / n
-    del part
+    mean_gap = (np.add.reduce(gaps, axis=1) / n)[rows]
 
     # a and b are evaluated rates with computed means below and not below
     # the target; b_mean may be inf, when no step above b is certified
