@@ -83,8 +83,8 @@ def _power_work(reps: int, n_pairs: int, points: int) -> int:
 #   1,500 x 300 x 5 (3.2e6):  592 against 604 ms;
 #   1,000 x 400 x 5 (3.3e6):  616 against 534 ms;
 #   30 x 1,000 x 10 (3.9e6):  618 against 524 ms;
-#   100 x 1,500 x 2 (4.7e6):  577 against 498 ms;
 #   100 x 1,000 x 10 (4.6e6)*: 669 against 547 ms;
+#   100 x 1,500 x 2 (4.7e6):  577 against 498 ms;
 #   2,000 x 400 x 5 (5.3e6)*: 701 against 661 ms;
 #   30 x 2,000 x 10 (7.8e6)*: 943 against 716 ms.
 # Replicates x pairs x grid points does not decide it: 30 x 2,000 x 10 is
@@ -103,8 +103,8 @@ def _pool_size(workers: int, n_chunks: int) -> int:
 
 
 def _map_chunks(fn, chunks, workers: int) -> list:
-    """``[fn(c) for c in chunks]``, across a process pool when more than one
-    worker is asked for and there is more than one chunk.
+    """``[fn(c) for c in chunks]``, across a pool of ``_pool_size`` processes
+    when that is more than one.
 
     The pool module is imported here, the one place that opens a pool, so
     importing the package does not load ``multiprocessing``.
