@@ -229,7 +229,7 @@ class MeanBoundRows:
 
 
 ROW_BLOCK = 1 << 20  # floats in the largest temporary of the row-wise bisection
-_ROW_STATE = 32  # floats of state the bisection keeps per row, at most
+_ROW_STATE = 32  # floats of state the bisection keeps per row, about
 
 
 def mean_bound_rows(targets, gaps, tol: float = BISECTION_TOL) -> MeanBoundRows:
