@@ -43,12 +43,15 @@ climbs to the root without overshooting; a step that still leaves the
 bracket is replaced by the bracket midpoint.  On the built-in DGPs a solve
 takes five to seven passes, bracket included, where bisection took 43 to 45.
 
-Every pass writes into two scratch arrays made once per solve, so a
-design-sensitivity pass holds five arrays of the draw's size (gaps, phi,
-phi * gap and the two scratch arrays) and a slope pass five as well (phi,
-p, the inverse odds and the two scratch arrays).  Drawing, differencing
-and ranking hold about as many (``_population_components``): 40 to 50
-bytes a draw at the peak on the built-in samplers.
+Every mean over the draws is taken a leaf of at most ``gammas.LEAF``
+draws at a time, in scratch arrays of one leaf made once per solve, and the
+leaf sums are added along NumPy's pairwise tree (``gammas.pairwise_sum``):
+the same bits as ``ndarray.mean`` or ``np.std`` over a draw-sized array,
+which no pass makes.  A design-sensitivity pass reads the gaps and phi, a
+slope pass phi and p.  Drawing and differencing hold at most four arrays
+of the draw's size, and ranking two more beside the gaps and the
+differences (``_population_components``): 33 to 42 bytes a draw at the
+peak on the built-in samplers.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import numpy as np
 
 from .dgps import DgpSpec, rank_score_fn  # noqa: F401  (re-exported API)
 from .errors import ConfigError, DataError, SolverError
-from .gammas import MAX_EXPONENT, gamma_for_mean_bound
+from .gammas import LEAF, MAX_EXPONENT, blocks, gamma_for_mean_bound, pairwise_sum
 from .scores import rank
 
 _MAX_ITER = 200
@@ -114,11 +117,14 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
     The gaps and the concordance are new arrays that the caller may
     overwrite; the phi values may be an array that a custom phi keeps, and
     are only read.  The outcome difference overwrites y1 when a built-in
-    sampler has just made it, and the draw arrays are dropped as soon as
-    the pair differences and the gaps exist: at most five arrays of the
-    draw's size are alive at once (z1, z2, both differences and the gaps),
-    and each rank phi reads holds three more while it sorts (the order, the
-    block ends and the ranks) beside the gaps and one or both differences.
+    sampler has just made it, and the doses are dropped as soon as the pair
+    differences exist (and the gaps, for a link other than the identity):
+    at most four arrays of the draw's size are alive at once (z1, z2 and
+    both differences).  The identity link's gaps are then |dose_diff|, the
+    subtraction ``DoseLink.gaps`` makes, and the concordance is built a
+    block at a time.  Each rank phi reads is written over its |difference|,
+    and holds two more arrays while it sorts (the order and the sorted
+    values) beside the gaps and one or both differences.
     """
     z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in dgp.draw(stream=tuple(stream)))
     # a custom sampler may keep its arrays, so only a built-in one's are reused
@@ -127,11 +133,26 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
     dose_diff = z1 - z2
     if np.any(dose_diff == 0):
         raise DataError("DGP produced tied doses within a pair")
-    gaps = dgp.link.gaps(z1, z2)
-    del z1, z2
-    concordant = (dose_diff * outcome_diff) > 0
-
+    if dgp.link.kind == "identity":
+        # what DoseLink.gaps checks and subtracts, without a fifth array
+        dgp.link.validate_on(z1)
+        dgp.link.validate_on(z2)
+        del z1, z2
+        gaps = np.abs(dose_diff)
+    else:
+        gaps = dgp.link.gaps(z1, z2)
+        del z1, z2
     n = dose_diff.size
+    concordant = np.empty(n, dtype=bool)
+    product = np.empty(min(n, LEAF))
+    for b in blocks(n):
+        np.greater(
+            np.multiply(dose_diff[b], outcome_diff[b], out=product[:b.stop - b.start]),
+            0,
+            out=concordant[b],
+        )
+    del product
+
     reads = dgp.phi_reads()
     # a rank phi does not read is a NaN view, which the finiteness check catches
     unread = np.broadcast_to(np.nan, (n,))
@@ -148,11 +169,53 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
 
 
 def _cdf_at_draws(diff: np.ndarray) -> np.ndarray:
-    """Right-continuous empirical CDF of |diff| at the draws, rank_max / n;
-    ``diff`` is overwritten with |diff|."""
-    cdf = rank(np.abs(diff, out=diff), ties="max")
+    """Right-continuous empirical CDF of |diff| at the draws, rank_max / n,
+    written over ``diff`` and returned."""
+    cdf = rank(np.abs(diff, out=diff), ties="max", out=diff)
     cdf /= diff.size
     return cdf
+
+
+def _mean(n: int, terms) -> float:
+    """``ndarray.mean`` of the n terms that ``terms(start, stop)`` returns
+    for each leaf, bit for bit (see ``gammas.pairwise_sum``)."""
+    return float(pairwise_sum(lambda start, stop: np.add.reduce(terms(start, stop)), 0, n) / n)
+
+
+def _std(n: int, terms) -> float:
+    """``np.std(x, ddof=1)`` of the n terms x that ``terms(start, stop)``
+    returns for each leaf, bit for bit: the mean, then the sum of squared
+    deviations from it, each summed along NumPy's pairwise tree."""
+    mean = _mean(n, terms)
+    deviation = np.empty(min(n, LEAF))
+
+    def squares(start, stop):
+        d = np.subtract(terms(start, stop), mean, out=deviation[:stop - start])
+        return np.add.reduce(np.square(d, out=d))
+
+    return math.sqrt(pairwise_sum(squares, 0, n) / max(n - 1, 0))
+
+
+def _concordant_mean(phi: np.ndarray, concordant: np.ndarray) -> float:
+    """E[phi * 1{concordant}] over the draws, as (phi * concordant).mean()."""
+    product = np.empty(min(phi.size, LEAF))
+    return _mean(
+        phi.size,
+        lambda start, stop: np.multiply(
+            phi[start:stop], concordant[start:stop], out=product[:stop - start]
+        ),
+    )
+
+
+def _signed_spread(phi: np.ndarray, concordant: np.ndarray) -> float:
+    """np.std(phi * (concordant - 0.5), ddof=1) over the draws."""
+    signed = np.empty(min(phi.size, LEAF))
+
+    def terms(start, stop):
+        out = np.subtract(concordant[start:stop], 0.5, out=signed[:stop - start])
+        return np.multiply(phi[start:stop], out, out=out)
+
+    return _std(phi.size, terms)
 
 
 def _newton_root(value_and_slope, target, lo, hi, at_lo, ftol):
@@ -191,18 +254,26 @@ def _newton_root(value_and_slope, target, lo, hi, at_lo, ftol):
 def _lhs_and_slope(phi: np.ndarray, gaps: np.ndarray):
     """The pass of the design-sensitivity solve: a function of gamma that
     returns E[phi * s] and its derivative E[phi * gap * s * (1 - s)], with
-    s = logistic(gamma * gap).  Every pass reuses the same two scratch
-    arrays; dropping the function frees them and phi * gap."""
-    phi_gap = phi * gaps
-    s = np.empty_like(gaps)
-    work = np.empty_like(gaps)
+    s = logistic(gamma * gap).  Every pass works a leaf at a time in the
+    same three scratch arrays of ``LEAF`` floats, and recomputes phi * gap
+    for each leaf: (w * phi) * gap would round differently."""
+    n = gaps.size
+    s, work, phi_gap = (np.empty(min(n, LEAF)) for _ in range(3))
 
     def lhs_and_slope(g: float):
-        _expit(np.multiply(g, gaps, out=s))
-        lhs = float(np.multiply(phi, s, out=work).mean())
-        np.subtract(1.0, s, out=work)
-        np.multiply(work, s, out=work)
-        return lhs, float(np.multiply(work, phi_gap, out=work).mean())
+        def leaf(start, stop):
+            m = stop - start
+            ss, ww, pg = s[:m], work[:m], phi_gap[:m]
+            ph, gap = phi[start:stop], gaps[start:stop]
+            _expit(np.multiply(g, gap, out=ss))
+            lhs = np.add.reduce(np.multiply(ph, ss, out=ww))
+            np.subtract(1.0, ss, out=ww)
+            np.multiply(ww, ss, out=ww)
+            np.multiply(ww, np.multiply(ph, gap, out=pg), out=ww)
+            return np.array((lhs, np.add.reduce(ww)))
+
+        lhs, slope = pairwise_sum(leaf, 0, n) / n
+        return float(lhs), float(slope)
 
     return lhs_and_slope
 
@@ -220,8 +291,8 @@ def design_sensitivity(
     gaps, concordant, phi = _population_components(dgp, stream)
     n = phi.size
     scale = max(float(phi.mean()), np.finfo(float).tiny)
-    rhs = float((phi * concordant).mean())
-    null_margin = 3.0 * float(np.std(phi * (concordant - 0.5), ddof=1)) / math.sqrt(n)
+    rhs = _concordant_mean(phi, concordant)
+    null_margin = 3.0 * _signed_spread(phi, concordant) / math.sqrt(n)
     del concordant
     lhs_and_slope = _lhs_and_slope(phi, gaps)
     at_lo = lhs_and_slope(0.0)
@@ -272,12 +343,18 @@ def design_sensitivity(
     np.exp(amplification, out=amplification)
     gamma_bar_star = float(amplification.mean())
     with np.errstate(over="ignore"):
-        spread = float(np.std(amplification, ddof=1))
+        spread = _std(n, lambda start, stop: amplification[start:stop])
     if not math.isfinite(spread):
         # amplifications near e^MAX_EXPONENT overflow when squared; the
         # scaled spread is the same number without the overflow
         top = float(amplification.max())
-        spread = float(np.std(amplification / top, ddof=1)) * top
+        scaled = np.empty(min(n, LEAF))
+        spread = _std(
+            n,
+            lambda start, stop: np.divide(
+                amplification[start:stop], top, out=scaled[:stop - start]
+            ),
+        ) * top
     mc_std_err = spread / math.sqrt(n)
     return DesignSensitivityResult(
         gamma_star=float(gamma_star),
@@ -306,32 +383,47 @@ def slope_from_components(mu, phi, p_success, tol: float = 1e-6):
     p = np.asarray(p_success, dtype=float)
     if phi.shape != p.shape:
         raise ConfigError("phi and p_success must align")
+    phi, p = phi.reshape(-1), p.reshape(-1)
     if np.any((p <= 0) | (p >= 1)):
         raise DataError("success probabilities must lie strictly in (0, 1)")
     if np.any(phi < 0):
         raise DataError("phi must be nonnegative")
     mu = float(mu)
+    n = phi.size
     scale = max(float(phi.mean()), np.finfo(float).tiny)
-    odds_inv = (1.0 - p) / p  # exp(-t*phi) multiplier, stable for t >= 0
-    # scratch arrays that every pass reuses
-    w = np.empty_like(phi)
-    term = np.empty_like(phi)
+    # scratch of one leaf that every pass reuses; the inverse odds (1 - p) / p,
+    # the exp(-t*phi) multiplier (stable for t >= 0), are taken per leaf
+    w, term, odds_inv = (np.empty(min(n, LEAF)) for _ in range(3))
 
     def omega1_and_slope(t: float):
         # the logistic term is s = 1 / (1 + w), so phi^2 s(1-s) = term^2 * w
-        np.exp(np.multiply(-t, phi, out=w), out=w)
-        np.multiply(w, odds_inv, out=w)
-        np.add(1.0, w, out=term)
-        omega1 = float(np.divide(phi, term, out=term).mean())
-        np.multiply(term, term, out=term)
-        return omega1, float(np.multiply(term, w, out=term).mean())
+        def leaf(start, stop):
+            m = stop - start
+            ww, tt, odds = w[:m], term[:m], odds_inv[:m]
+            ph, pp = phi[start:stop], p[start:stop]
+            np.divide(np.subtract(1.0, pp, out=odds), pp, out=odds)
+            np.exp(np.multiply(-t, ph, out=ww), out=ww)
+            np.multiply(ww, odds, out=ww)
+            np.add(1.0, ww, out=tt)
+            omega1 = np.add.reduce(np.divide(ph, tt, out=tt))
+            np.multiply(tt, tt, out=tt)
+            return np.array((omega1, np.add.reduce(np.multiply(tt, ww, out=tt))))
+
+        omega1, slope = pairwise_sum(leaf, 0, n) / n
+        return float(omega1), float(slope)
 
     def omega0(t: float) -> float:
         # t * phi + log(p + (1 - p) * exp(-t * phi))
-        np.exp(np.multiply(-t, phi, out=w), out=w)
-        np.multiply(w, np.subtract(1.0, p, out=term), out=w)
-        np.log(np.add(w, p, out=w), out=w)
-        return float(np.add(w, np.multiply(t, phi, out=term), out=w).mean())
+        def terms(start, stop):
+            m = stop - start
+            ww, tt = w[:m], term[:m]
+            ph, pp = phi[start:stop], p[start:stop]
+            np.exp(np.multiply(-t, ph, out=ww), out=ww)
+            np.multiply(ww, np.subtract(1.0, pp, out=tt), out=ww)
+            np.log(np.add(ww, pp, out=ww), out=ww)
+            return np.add(ww, np.multiply(t, ph, out=tt), out=ww)
+
+        return _mean(n, terms)
 
     at_lo = omega1_and_slope(0.0)
     at_zero = at_lo[0]
@@ -375,7 +467,7 @@ def bahadur_slope(
     if not gamma_bar >= 1.0:
         raise ConfigError("gamma_bar must be >= 1")
     gaps, concordant, phi = _population_components(dgp, stream)
-    mu = float((phi * concordant).mean())
+    mu = _concordant_mean(phi, concordant)
     del concordant
     gamma = 0.0 if gamma_bar == 1.0 else gamma_for_mean_bound(gamma_bar, gaps, tol=1e-12)
     p = _expit(np.multiply(gamma, gaps, out=gaps))

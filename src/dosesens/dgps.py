@@ -6,11 +6,13 @@ name plus a parameter dict so that simulation configurations are picklable
 and serializable; custom callables are accepted wherever parallelism is not
 requested.
 
-The built-in samplers accumulate into their output arrays, in the order of
-operations of their formulas: at most five arrays of n floats are alive at
-once, the four outputs (or the arrays that become them) and one fresh
-normal draw.  Their arrays are new, so the planning solves may overwrite
-them; a custom sampler's arrays are only read.
+The built-in samplers draw each noise term straight into the output array
+that holds it and add the rest of the formula a block of ``gammas.LEAF``
+terms at a time; addition commutes, so every value has the bits of the
+formula.  At most four arrays of n floats are alive at once (five with
+shared pair noise), the four outputs or the arrays that become them.
+Their arrays are new, so the planning solves may overwrite them; a custom
+sampler's arrays are only read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .gammas import LEAF, blocks
 from .pairs import DoseLink
 from .rngs import STREAM_DGP, child_rng
 
@@ -55,7 +58,8 @@ def rank_score_fn(phi) -> Callable:
     raise ConfigError(f"cannot interpret rank-score function {phi!r}")
 
 
-# 20 times the design-sens default: about 1 GB at the 40-50 bytes a draw holds
+# 20 times the design-sens default: about 0.7-0.9 GB at the 33-42 bytes a
+# draw holds at the peak
 MAX_MC_DRAWS = 20_000_000
 
 # ----------------------------------------------------------- built-in DGPs --
@@ -69,6 +73,20 @@ def _uniform_doses(rng, n, params):
     return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
 
 
+def _add_response(y, effect, z, shared=None):
+    """y += effect * z (+ shared), a block at a time.
+
+    ``y`` holds the noise, drawn straight into it; addition commutes, so
+    each sum has the bits of effect * z (+ shared) + noise.
+    """
+    scratch = np.empty(min(y.size, LEAF))
+    for b in blocks(y.size):
+        term = np.multiply(effect, z[b], out=scratch[:b.stop - b.start])
+        if shared is not None:
+            term += shared if np.ndim(shared) == 0 else shared[b]
+        y[b] += term
+
+
 def _paired_normal(rng, n, params):
     """Linear dose response with normal noise: y = effect*z + shared + eps."""
     effect = float(params.get("effect", 0.0))
@@ -76,13 +94,10 @@ def _paired_normal(rng, n, params):
     pair_noise_sd = float(params.get("pair_noise_sd", 0.0))
     z1, z2 = _uniform_doses(rng, n, params)
     shared = rng.normal(0.0, pair_noise_sd, n) if pair_noise_sd > 0 else 0.0
-    y1 = effect * z1
-    y1 += shared
-    y1 += rng.normal(0.0, noise_sd, n)
-    y2 = effect * z2
-    y2 += shared
-    del shared
-    y2 += rng.normal(0.0, noise_sd, n)
+    y1 = rng.normal(0.0, noise_sd, n)
+    _add_response(y1, effect, z1, shared)
+    y2 = rng.normal(0.0, noise_sd, n)
+    _add_response(y2, effect, z2, shared)
     return z1, z2, y1, y2
 
 
@@ -99,19 +114,26 @@ def _fixed_concordance(rng, n, params):
     if not 0.0 < theta < 1.0:
         raise ConfigError("theta must be in (0, 1)")
     z1, z2 = _uniform_doses(rng, n, params)
-    magnitude = rng.normal(0.0, 1.0, n)
-    np.abs(magnitude, out=magnitude)
-    agree = np.where(rng.random(n) < theta, 1.0, -1.0)
-    half_diff = np.subtract(z1, z2)
-    np.sign(half_diff, out=half_diff)
-    half_diff *= agree
-    half_diff *= magnitude
-    del agree, magnitude
-    half_diff *= 0.5
-    mid = rng.normal(0.0, 1.0, n)
-    y1 = mid + half_diff
-    y2 = np.subtract(mid, half_diff, out=mid)
-    return z1, z2, y1, y2
+    # half the outcome gap, sign(z1 - z2) * agree * |magnitude| * 0.5, is
+    # built over the magnitude draw
+    half_diff = rng.normal(0.0, 1.0, n)
+    agree = rng.random(n)
+    scratch = np.empty(min(n, LEAF))
+    for b in blocks(n):
+        term = np.subtract(z1[b], z2[b], out=scratch[:b.stop - b.start])
+        np.sign(term, out=term)
+        term *= np.where(agree[b] < theta, 1.0, -1.0)
+        term *= np.abs(half_diff[b])
+        term *= 0.5
+        half_diff[b] = term
+    del agree
+    # y1 = mid + half_diff over the mid draw, y2 = mid - half_diff over half_diff
+    y1 = rng.normal(0.0, 1.0, n)
+    for b in blocks(n):
+        term = np.subtract(y1[b], half_diff[b], out=scratch[:b.stop - b.start])
+        y1[b] += half_diff[b]
+        half_diff[b] = term
+    return z1, z2, y1, half_diff
 
 
 def _constant_gap(rng, n, params):
@@ -129,10 +151,10 @@ def _constant_gap(rng, n, params):
     z2 -= 1.0
     z2 *= gap
     z2 += z1
-    y1 = effect * z1
-    y1 += rng.normal(0.0, noise_sd, n)
-    y2 = effect * z2
-    y2 += rng.normal(0.0, noise_sd, n)
+    y1 = rng.normal(0.0, noise_sd, n)
+    _add_response(y1, effect, z1)
+    y2 = rng.normal(0.0, noise_sd, n)
+    _add_response(y2, effect, z2)
     return z1, z2, y1, y2
 
 

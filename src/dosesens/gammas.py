@@ -17,9 +17,11 @@ The bisection is row-wise: :func:`mean_bound_rows` solves every (gap row,
 target) pair of a block at once, each row keeping its own bracket and
 freezing when it meets the stop rule, and :func:`gamma_for_mean_bound` is its
 one-row call.  A simulation chunk thus calibrates all its replicates and grid
-points in one pass per round.  Each pass takes the means as
-``np.add.reduce(..., axis=1) / n``, which sums every row exactly as
-``ndarray.mean`` sums it alone.  Rows are solved in blocks of at most
+points in one pass per round.  Each pass sums every row a leaf of at
+most ``LEAF`` columns at a time and adds the leaf sums along NumPy's
+pairwise tree (:func:`pairwise_sum`), so it divides by n exactly what
+``ndarray.mean`` sums on that row alone, and holds scratch for one leaf of
+each row, however long the rows are.  Rows are solved in blocks of at most
 ``ROW_BLOCK`` floats, a row counting its gaps or ``_ROW_STATE`` floats,
 whichever is more: each row keeps its bracket and certificate in about that
 many floats of arrays, so a block's state stays within the budget however
@@ -77,6 +79,32 @@ _MAX_ITER = 200
 _NEWTON_ITER = 16
 _PROBES = 4
 _ULP = 2.0**-52
+LEAF = 1 << 15  # terms a blocked pass sums with one np.add.reduce call
+
+
+def pairwise_sum(leaf, start: int, stop: int):
+    """Terms ``start`` to ``stop - 1`` summed as ``np.add.reduce`` sums a
+    contiguous run of them, bit for bit, from leaf sums: ``leaf(i, j)``
+    returns ``np.add.reduce`` of terms i to j - 1 (a float, or an array of
+    sums that add elementwise) for runs of at most ``LEAF`` terms.
+
+    NumPy's pairwise sum splits a run of more than 128 terms at half its
+    length rounded down to a multiple of 8 and adds the sums of the halves.
+    This takes the same splits down to runs of at most ``LEAF`` (> 128)
+    terms, which NumPy sums as it sums them inside the whole run, so a pass
+    over the terms needs scratch for one leaf, not for the whole run.
+    """
+    n = stop - start
+    if n <= LEAF:
+        return leaf(start, stop)
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(leaf, start, start + half) + pairwise_sum(leaf, start + half, stop)
+
+
+def blocks(n: int):
+    """Slices of at most ``LEAF`` consecutive indices that cover range(n)."""
+    return (slice(i, min(i + LEAF, n)) for i in range(0, n, LEAF))
 
 
 @dataclass(frozen=True)
@@ -279,20 +307,26 @@ def _bisect_rows(target, gaps, max_gap, tol):
     docstring).
     """
     n_rows, n = gaps.shape
-    buf = np.empty_like(gaps)
+    buf = np.empty((n_rows, min(n, LEAF)))
 
     def means(rows, at, slope=False):
-        # what ndarray.mean computes on each row, without its per-call overhead
+        # what ndarray.mean computes on each row, a leaf of columns at a time
         part = gaps if rows.size == n_rows else gaps[rows]
-        out = buf[:rows.size]
-        np.multiply(at[:, None], part, out=out)
-        np.exp(out, out=out)
-        value = np.add.reduce(out, axis=1) / n
-        if not slope:
-            return value
-        with np.errstate(over="ignore"):
-            np.multiply(out, part, out=out)
-        return value, np.add.reduce(out, axis=1) / n
+
+        def leaf(start, stop):
+            out = buf[:rows.size, :stop - start]
+            np.multiply(at[:, None], part[:, start:stop], out=out)
+            np.exp(out, out=out)
+            value = np.add.reduce(out, axis=1)
+            if not slope:
+                return value
+            with np.errstate(over="ignore"):
+                np.multiply(out, part[:, start:stop], out=out)
+            return np.array((value, np.add.reduce(out, axis=1)))
+
+        total = pairwise_sum(leaf, 0, n)
+        total /= n
+        return (total[0], total[1]) if slope else total
 
     gamma_cap = MAX_EXPONENT / max_gap
     status = np.full(n_rows, _SOLVED, dtype=np.int8)

@@ -32,14 +32,16 @@ KINDS = ("mcnemar", "wilcoxon", "dose-weighted-abs", "double-rank", "general")
 _KIND_ALIASES = {"dose-weighted-rank": "double-rank"}
 
 
-def rank(values, ties: str = "average") -> np.ndarray:
+def rank(values, ties: str = "average", out=None) -> np.ndarray:
     """Ranks 1..n of a 1-d array; a block of tied values shares the mean
     (``"average"``) or the largest (``"max"``) of the ranks it spans.
 
     One argsort orders the values, and running minima and maxima over the
     sorted positions find where each block of equal values ends and starts;
-    NaNs form one block, as they do in ``np.unique``.  Ranks are integers or
-    half-integers, exact in float64.
+    NaNs form one block, as they do in ``np.unique``.  Without ties, the
+    ranks are the sorted positions plus one.  Ranks are integers or
+    half-integers, exact in float64.  They are written into ``out`` when it
+    is given, which may be ``values`` itself.
     """
     values = np.asarray(values)
     n = values.size
@@ -50,6 +52,10 @@ def rank(values, ties: str = "average") -> np.ndarray:
     if n and ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
         tied[np.searchsorted(ordered, ordered[-1]):] = True  # NaNs sort last
     del ordered
+    ranks = np.empty(n) if out is None else out
+    if not tied.any():
+        ranks[order] = np.arange(1.0, n + 1.0)
+        return ranks
     # last (0-based) sorted position of each position's block
     shared = np.arange(n, dtype=float)
     np.copyto(shared[:-1], np.inf, where=tied)
@@ -63,7 +69,6 @@ def rank(values, ties: str = "average") -> np.ndarray:
         shared += first
         shared *= 0.5
         shared += 1.0
-    ranks = np.empty(n)
     ranks[order] = shared
     return ranks
 
@@ -253,23 +258,56 @@ _PHI_FUNCS = {
 }
 _ALLOWED_NAMES = {"r_z", "r_y"}
 _ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# Python's integer powers grow without bound: 9 ** 9 ** 9 never finishes
+MAX_PHI_EXPONENT = 64
+MAX_PHI_LENGTH = 1000
+
+
+def _check_power(node: ast.BinOp) -> None:
+    """A power's exponent is a number literal, with an optional sign, of
+    absolute value at most ``MAX_PHI_EXPONENT``, and its base holds no other
+    power; so no integer the expression makes grows past some 64 times the
+    expression's length in digits."""
+    exponent = node.right
+    if isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, (ast.USub, ast.UAdd)):
+        exponent = exponent.operand
+    if not (
+        isinstance(exponent, ast.Constant)
+        and type(exponent.value) in (int, float)
+        and abs(exponent.value) <= MAX_PHI_EXPONENT
+    ):
+        raise ConfigError(
+            "phi expression exponents must be numbers of absolute value at "
+            f"most {MAX_PHI_EXPONENT}"
+        )
+    if any(isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Pow)
+           for inner in ast.walk(node.left)):
+        raise ConfigError("phi expression powers may not be nested")
 
 
 def parse_phi_expression(expr: str) -> Callable:
     """Compile an arithmetic expression over ``r_z`` and ``r_y`` to a callable.
 
     Only arithmetic operators, numeric literals and a small set of
-    elementwise functions are allowed; anything else is rejected.
+    elementwise functions are allowed; anything else is rejected, and so
+    are expressions longer than ``MAX_PHI_LENGTH`` characters and powers
+    that ``_check_power`` does not allow, before anything is evaluated.
     """
+    if len(expr) > MAX_PHI_LENGTH:
+        raise ConfigError(f"phi expression is longer than {MAX_PHI_LENGTH} characters")
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"invalid phi expression: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("phi expression nests too deeply") from exc
 
     for node in ast.walk(tree):
         if isinstance(node, (ast.Expression, ast.Load)):
             continue
         if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_OPS):
+            if isinstance(node.op, ast.Pow):
+                _check_power(node)
             continue
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             continue
@@ -284,11 +322,18 @@ def parse_phi_expression(expr: str) -> Callable:
             continue
         raise ConfigError(f"disallowed element in phi expression: {ast.dump(node)}")
 
-    code = compile(tree, "<phi>", "eval")
+    try:
+        code = compile(tree, "<phi>", "eval")
+    except RecursionError as exc:
+        raise ConfigError("phi expression nests too deeply") from exc
 
     def phi(r_z, r_y):
         namespace = {"r_z": r_z, "r_y": r_y, **_PHI_FUNCS}
-        return np.asarray(eval(code, {"__builtins__": {}}, namespace), dtype=float)
+        try:
+            value = eval(code, {"__builtins__": {}}, namespace)
+        except ArithmeticError as exc:  # Python-number arithmetic, e.g. 1 / 0
+            raise ConfigError(f"phi expression cannot be evaluated: {exc}") from exc
+        return np.asarray(value, dtype=float)
 
     phi.expression = expr
     return phi

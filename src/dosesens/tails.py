@@ -159,16 +159,20 @@ def _distribution(q: np.ndarray, p: np.ndarray):
     return _convolved_distribution(key_q, key_p)
 
 
+# A tail sums nonnegative point probabilities, and rounding can carry the
+# sum past 1; the clamp keeps it a probability.
+
+
 def exact_upper_tail(q: np.ndarray, p: np.ndarray, t: float) -> float:
     values, probs = _distribution(q, p)
     idx = np.searchsorted(values, t - comparison_slack(t), side="left")
-    return float(probs[idx:].sum())
+    return min(float(probs[idx:].sum()), 1.0)
 
 
 def exact_lower_tail(q: np.ndarray, p: np.ndarray, t: float) -> float:
     values, probs = _distribution(q, p)
     idx = np.searchsorted(values, t + comparison_slack(t), side="right")
-    return float(probs[:idx].sum())
+    return min(float(probs[:idx].sum()), 1.0)
 
 
 # ----------------------------------------------------------- monte carlo --

@@ -17,6 +17,10 @@ same errors.  The per-node construction of the weak-null coefficient rows
 kept as the reference for the rows the search builds once, which must match
 it bit for bit.  The ``np.unique`` construction of ranks is kept as the
 reference for ``dosesens.scores.rank``, which must match it bit for bit.
+The planning solves as they were before their passes went a leaf at a time
+(built-in samplers as whole-array formulas, the safeguarded Newton solves
+with ``ndarray.mean`` and ``np.std`` over draw-sized arrays) are kept as
+references for the blocked passes, which must match them bit for bit.
 """
 
 import itertools
@@ -27,11 +31,17 @@ import numpy as np
 from scipy import optimize, special
 
 from dosesens import gammas, tails
-from dosesens.asymptotics import DesignSensitivityResult, _population_components
+from dosesens.asymptotics import (
+    BahadurResult,
+    DesignSensitivityResult,
+    _expit,
+    _newton_root,
+    _population_components,
+)
 from dosesens.errors import ConfigError, DataError, SolverError
 from dosesens.gammas import MAX_EXPONENT, _schedule_from_gamma_gaps
 from dosesens.qclp import QclpResult
-from dosesens.rngs import STREAM_POWER, child_rng, child_seed_sequence
+from dosesens.rngs import STREAM_DGP, STREAM_POWER, child_rng, child_seed_sequence
 from dosesens.scores import score_from_arrays
 from dosesens.sharp import worst_case_pvalue
 from dosesens.simulate import power_curve
@@ -643,3 +653,206 @@ def reference_power_hits(
             )
             hits[j] += report.p_one_sided_greater < alpha
     return hits
+
+
+# ------------------------------ planning passes over whole draw-sized arrays --
+
+
+def _reference_uniform_doses(rng, n, params):
+    lo = float(params.get("dose_low", 0.0))
+    hi = float(params.get("dose_high", 1.0))
+    if not hi > lo:
+        raise ConfigError("dose_high must exceed dose_low")
+    return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+
+
+def _reference_paired_normal(rng, n, params):
+    effect = float(params.get("effect", 0.0))
+    noise_sd = float(params.get("noise_sd", 1.0))
+    pair_noise_sd = float(params.get("pair_noise_sd", 0.0))
+    z1, z2 = _reference_uniform_doses(rng, n, params)
+    shared = rng.normal(0.0, pair_noise_sd, n) if pair_noise_sd > 0 else 0.0
+    y1 = effect * z1 + shared + rng.normal(0.0, noise_sd, n)
+    y2 = effect * z2 + shared + rng.normal(0.0, noise_sd, n)
+    return z1, z2, y1, y2
+
+
+def _reference_fixed_concordance(rng, n, params):
+    theta = float(params.get("theta", 0.75))
+    if not 0.0 < theta < 1.0:
+        raise ConfigError("theta must be in (0, 1)")
+    z1, z2 = _reference_uniform_doses(rng, n, params)
+    magnitude = np.abs(rng.normal(0.0, 1.0, n))
+    agree = np.where(rng.random(n) < theta, 1.0, -1.0)
+    half_diff = np.sign(z1 - z2) * agree * magnitude * 0.5
+    mid = rng.normal(0.0, 1.0, n)
+    return z1, z2, mid + half_diff, mid - half_diff
+
+
+def _reference_constant_gap(rng, n, params):
+    gap = float(params.get("gap", 1.0))
+    if gap <= 0:
+        raise ConfigError("gap must be positive")
+    effect = float(params.get("effect", 0.0))
+    noise_sd = float(params.get("noise_sd", 1.0))
+    z1 = rng.uniform(
+        float(params.get("dose_low", 0.0)), float(params.get("dose_high", 1.0)), n
+    )
+    z2 = z1 + (rng.integers(0, 2, n) * 2.0 - 1.0) * gap
+    y1 = effect * z1 + rng.normal(0.0, noise_sd, n)
+    y2 = effect * z2 + rng.normal(0.0, noise_sd, n)
+    return z1, z2, y1, y2
+
+
+REFERENCE_SAMPLERS = {
+    "paired-normal": _reference_paired_normal,
+    "null": lambda rng, n, params: _reference_paired_normal(rng, n, {**params, "effect": 0.0}),
+    "fixed-concordance": _reference_fixed_concordance,
+    "constant-gap": _reference_constant_gap,
+}
+
+
+def reference_draw(dgp, stream=()):
+    """``dgp.draw`` with the built-in samplers written as whole-array
+    formulas, each array made by its own expression."""
+    rng = child_rng(dgp.seed, STREAM_DGP, *stream)
+    if dgp.is_named:
+        return REFERENCE_SAMPLERS[dgp.sampler](rng, dgp.mc_draws, dgp.params)
+    return dgp.sampler(rng, dgp.mc_draws)
+
+
+def reference_components(dgp, stream=()):
+    """(gaps, concordance, phi values) from whole-array differences, the
+    link's own gaps and ``np.unique`` ranks."""
+    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in reference_draw(dgp, stream))
+    dose_diff, outcome_diff = z1 - z2, y1 - y2
+    if np.any(dose_diff == 0):
+        raise DataError("DGP produced tied doses within a pair")
+    gaps = dgp.link.gaps(z1, z2)
+    concordant = (dose_diff * outcome_diff) > 0
+    n = dose_diff.size
+    u = reference_rank(np.abs(dose_diff), ties="max") / n
+    v = reference_rank(np.abs(outcome_diff), ties="max") / n
+    phi = np.asarray(dgp.phi_fn()(u, v), dtype=float)
+    if phi.shape != (n,):
+        raise DataError("phi must return one value per draw")
+    if not np.all(np.isfinite(phi)) or np.any(phi < 0):
+        raise DataError("phi must be finite and nonnegative over the rank range")
+    return gaps, concordant, phi
+
+
+def reference_lhs_and_slope(phi, gaps):
+    """The design-sensitivity pass, E[phi * s] and E[phi * gap * s * (1 - s)]
+    at gamma, over whole arrays."""
+    phi_gap = phi * gaps
+
+    def lhs_and_slope(g):
+        s = _expit(g * gaps)
+        return float((phi * s).mean()), float(((1.0 - s) * s * phi_gap).mean())
+
+    return lhs_and_slope
+
+
+def reference_newton_design_sensitivity(dgp, tol=1e-6, stream=()):
+    """The safeguarded Newton solve of ``design_sensitivity`` with every
+    mean taken by ``ndarray.mean`` or ``np.std`` over whole arrays."""
+    gaps, concordant, phi = reference_components(dgp, stream)
+    n = phi.size
+    scale = max(float(phi.mean()), np.finfo(float).tiny)
+    rhs = float((phi * concordant).mean())
+    null_margin = 3.0 * float(np.std(phi * (concordant - 0.5), ddof=1)) / math.sqrt(n)
+    lhs_and_slope = reference_lhs_and_slope(phi, gaps)
+    at_lo = lhs_and_slope(0.0)
+    if rhs - at_lo[0] <= null_margin:
+        return DesignSensitivityResult(
+            gamma_star=0.0, gamma_bar_star=1.0, lhs_rhs_residual=at_lo[0] - rhs,
+            mc_std_err=0.0, null_case=True, non_monotone_lhs=False,
+            mc_draws=n, seed=dgp.seed,
+        )
+    max_gap = float(gaps.max(initial=0.0))
+    if max_gap == 0.0:
+        raise DataError("all transformed dose gaps are zero")
+    gamma_cap = MAX_EXPONENT / max_gap
+    non_monotone = False
+    lo, hi = 0.0, min(1.0, gamma_cap)
+    at_hi = lhs_and_slope(hi)
+    while at_hi[0] < rhs:
+        if hi >= gamma_cap:
+            raise SolverError(
+                "design-sensitivity equation has no root below the exp() "
+                "guard: the concordance signal exceeds the logistic "
+                "supremum on these draws"
+            )
+        if at_hi[0] < at_lo[0] - 1e-12 * scale:
+            non_monotone = True
+        lo, at_lo = hi, at_hi
+        hi = min(2.0 * hi, gamma_cap)
+        at_hi = lhs_and_slope(hi)
+    gamma_star, lhs_star = _newton_root(lhs_and_slope, rhs, lo, hi, at_lo, tol * scale)
+    residual = lhs_star - rhs
+    if not abs(residual) <= tol * scale:
+        raise SolverError(
+            f"design-sensitivity root solve did not converge (residual {residual:.3g})"
+        )
+    amplification = np.exp(np.minimum(gamma_star * gaps, MAX_EXPONENT))
+    with np.errstate(over="ignore"):
+        spread = float(np.std(amplification, ddof=1))
+    if not math.isfinite(spread):
+        top = float(amplification.max())
+        spread = float(np.std(amplification / top, ddof=1)) * top
+    return DesignSensitivityResult(
+        gamma_star=float(gamma_star), gamma_bar_star=float(amplification.mean()),
+        lhs_rhs_residual=float(residual), mc_std_err=spread / math.sqrt(n),
+        null_case=False, non_monotone_lhs=non_monotone, mc_draws=n, seed=dgp.seed,
+    )
+
+
+def reference_newton_slope(mu, phi, p, tol=1e-6):
+    """The safeguarded Newton solve of ``slope_from_components`` with every
+    mean taken by ``ndarray.mean`` over whole arrays."""
+    phi = np.asarray(phi, dtype=float)
+    p = np.asarray(p, dtype=float)
+    mu = float(mu)
+    scale = max(float(phi.mean()), np.finfo(float).tiny)
+    odds_inv = (1.0 - p) / p
+
+    def omega1_and_slope(t):
+        w = np.exp(-t * phi) * odds_inv
+        term = phi / (1.0 + w)
+        return float(term.mean()), float((term * term * w).mean())
+
+    at_lo = omega1_and_slope(0.0)
+    if mu < at_lo[0] - tol * scale:
+        raise SolverError("the bias level exceeds the design sensitivity")
+    if abs(mu - at_lo[0]) <= tol * scale:
+        return 0.0, 0.0, 0.0
+    if mu >= float(phi.mean()) - 1e-15 * scale:
+        raise SolverError("mu saturates the score scale; no finite root")
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        at_hi = omega1_and_slope(hi)
+        if at_hi[0] >= mu:
+            break
+        lo, at_lo = hi, at_hi
+        hi *= 2.0
+    else:
+        raise SolverError("failed to bracket the slope equation root")
+    t_tilde, _ = _newton_root(omega1_and_slope, mu, lo, hi, at_lo, 1e-12 * scale)
+    omega0_t = float(
+        (np.log(np.exp(-t_tilde * phi) * (1.0 - p) + p) + t_tilde * phi).mean()
+    )
+    slope = 2.0 * (t_tilde * mu - omega0_t)
+    return float(t_tilde), omega0_t, float(max(slope, 0.0))
+
+
+def reference_newton_bahadur_slope(dgp, gamma_bar, tol=1e-6, stream=()):
+    """``bahadur_slope`` over whole arrays, gamma from the scalar bisection."""
+    gaps, concordant, phi = reference_components(dgp, stream)
+    mu = float((phi * concordant).mean())
+    gamma = 0.0 if gamma_bar == 1.0 else reference_gamma_for_mean_bound(gamma_bar, gaps, tol=1e-12)
+    p = np.minimum(_expit(gamma * gaps), 1.0 - 1e-16)
+    t_tilde, omega0_t, slope = reference_newton_slope(mu, phi, p, tol=tol)
+    return BahadurResult(
+        gamma_bar=float(gamma_bar), mu=mu, t_tilde=t_tilde, omega0_at_t=omega0_t,
+        slope=slope, mc_draws=phi.size, seed=dgp.seed,
+    )

@@ -154,6 +154,29 @@ def test_malformed_grid_is_a_config_error(pairs_csv):
     assert json.loads(proc.stderr)["error"]["code"] == "config-error"
 
 
+PAIRS_60 = str(Path(__file__).parent / "golden" / "pairs_60.csv")
+
+
+def test_huge_phi_exponent_is_a_config_error_before_evaluation():
+    # evaluating 9 ** 9 ** 9 would not finish; the timeout fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "dosesens.cli", "analyze", PAIRS_60, "--gamma-bar", "1.5",
+         "--method", "exact", "--test", "r_y ** (9**9**9)"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == "config-error"
+    assert "exponents" in error["message"]
+
+
+@pytest.mark.parametrize("expr", ["r_y ** 2", "sqrt(r_z * r_y)"])
+def test_bounded_phi_expressions_still_run(expr, schema):
+    proc = run_cli("analyze", PAIRS_60, "--gamma-bar", "1.5", "--method", "normal",
+                   "--test", expr)
+    assert check(proc, schema)["report"]["score_kind"] == "general"
+
+
 def test_design_sens_requires_seed():
     proc = run_cli("design-sens", "--dgp", "paired-normal")
     assert proc.returncode == 2

@@ -118,6 +118,36 @@ def test_expression_parser_rejects_junk():
             parse_phi_expression(bad)
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("r_y ** (9**9**9)", "exponents"),
+        ("r_y ** 65", "exponents"),
+        ("r_y ** -64.5", "exponents"),
+        ("r_y ** r_z", "exponents"),
+        ("(r_y ** 2) ** 2", "nested"),
+        ("2 ** 64 ** 1", "exponents"),
+        ("r_y + " * 200 + "r_y", "longer than"),
+        ("-" * 996 + "r_y", "nests too deeply"),
+    ],
+)
+def test_expression_parser_bounds_powers_and_size(bad, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_phi_expression(bad)
+
+
+def test_bounded_powers_evaluate(three_pairs):
+    ranks = np.array([1.0, 2.0, 3.0])
+    for expr, want in [("r_y ** 2", ranks**2), ("r_z ** -0.5 * r_y", ranks**-0.5 * ranks),
+                       ("2 ** 64 * r_y", 2.0**64 * ranks)]:
+        assert_allclose(parse_phi_expression(expr)(ranks, ranks), want)
+
+
+def test_expression_arithmetic_faults_are_config_errors():
+    with pytest.raises(ConfigError, match="cannot be evaluated"):
+        parse_phi_expression("1 / 0 + r_y")(np.ones(3), np.ones(3))
+
+
 def test_expression_supports_numpy_functions(three_pairs):
     phi = parse_phi_expression("sqrt(r_z) * r_y")
     spec = ScoreSpec(kind="general", phi=phi, normalize_ranks=True)

@@ -122,6 +122,23 @@ def test_lattice_at_the_cap_is_dense_and_over_it_raises_as_before():
     assert str(ours.value) == str(reference.value)
 
 
+def test_exact_tails_over_the_whole_support_stay_probabilities():
+    # the point probabilities of these 20 Wilcoxon pairs sum past 1 in floats
+    rng = np.random.default_rng(0)
+    q = np.arange(1.0, 21.0)
+    past_one = 0
+    for _ in range(20):
+        p = rng.uniform(0.5, 0.9, q.size)
+        for tail, probs, t in (
+            (tails.exact_upper_tail, p, -1.0),
+            (tails.exact_lower_tail, 1.0 - p, q.sum() + 1.0),
+        ):
+            total = float(tails._distribution(q, probs)[1].sum())
+            past_one += total > 1.0
+            assert tail(q, probs, t) == min(total, 1.0)
+    assert past_one > 0
+
+
 def test_benchmark_clears_the_exact_tail_cache_by_this_name():
     assert callable(tails._convolved_distribution.cache_clear)
 
