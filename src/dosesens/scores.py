@@ -299,7 +299,7 @@ def parse_phi_expression(expr: str) -> Callable:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"invalid phi expression: {exc}") from exc
-    except RecursionError as exc:
+    except (RecursionError, MemoryError) as exc:  # the parser's stack overflowed
         raise ConfigError("phi expression nests too deeply") from exc
 
     for node in ast.walk(tree):

@@ -129,6 +129,7 @@ def test_expression_parser_rejects_junk():
         ("2 ** 64 ** 1", "exponents"),
         ("r_y + " * 200 + "r_y", "longer than"),
         ("-" * 996 + "r_y", "nests too deeply"),
+        ("(" * 199 + "-" * 500 + "r_y" + ")" * 199, "nests too deeply"),
     ],
 )
 def test_expression_parser_bounds_powers_and_size(bad, message):
