@@ -48,22 +48,34 @@ draws at a time, in scratch arrays of one leaf made once per solve, and the
 leaf sums are added along NumPy's pairwise tree (``gammas.pairwise_sum``):
 the same bits as ``ndarray.mean`` or ``np.std`` over a draw-sized array,
 which no pass makes.  A design-sensitivity pass reads the gaps and phi, a
-slope pass phi and p.  Drawing and differencing hold at most four arrays
-of the draw's size, and ranking two more beside the gaps and the
-differences (``_population_components``): 33 to 42 bytes a draw at the
-peak on the built-in samplers.
+slope pass phi and p.  The frozen draw comes as the two pair differences,
+the last outcome array drawn and subtracted a leaf at a time
+(``_pair_differences``), so drawing holds three arrays of the draw's size
+(four with shared pair noise; z1, y1 and one-byte coin flips for constant
+gap), and a rank holds the sort order and a byte a draw beside the gaps,
+the concordance and the differences (``_population_components``): 22 to
+37 bytes a draw at the peak on the built-in samplers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .dgps import DgpSpec, rank_score_fn  # noqa: F401  (re-exported API)
 from .errors import ConfigError, DataError, SolverError
-from .gammas import LEAF, MAX_EXPONENT, blocks, gamma_for_mean_bound, pairwise_sum
+from .gammas import (
+    LEAF,
+    MAX_EXPONENT,
+    blocks,
+    gamma_for_mean_bound,
+    gather,
+    leaves,
+    pairwise_sum,
+)
 from .scores import rank
 
 _MAX_ITER = 200
@@ -108,6 +120,37 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, x, out=x)
 
 
+def _pair_differences(link, z1, z2, y1, y2):
+    """Sink of the frozen draw (``DgpSpec.draw_into``): ``(dose_diff,
+    outcome_diff, gaps)``.
+
+    The differences z1 - z2 and y1 - y2 are written over z1 and y1 a leaf at
+    a time, so y2, and a z2 that comes in leaves, never exist whole.  The
+    link is checked on the doses first: the identity link's NaN check takes
+    z2 a leaf at a time, and its gaps are left to the caller (None), as
+    |dose_diff|; any other link's gaps are taken here, from z2 whole.
+    """
+    n = z1.size
+    if link.kind == "identity":
+        link.validate_on(z1)
+        gaps = None
+    else:
+        z2 = gather(z2, n)
+        gaps = link.gaps(z1, z2)
+    z2, y2 = leaves(z2), leaves(y2)
+    tied = False
+    for b in blocks(n):
+        y1[b] -= y2(b)  # before z1[b] changes: a leaf of y2 may read it
+        low = z2(b)
+        if gaps is None:
+            link.validate_on(low)
+        dose_diff = np.subtract(z1[b], low, out=z1[b])
+        tied = tied or not dose_diff.all()
+    if tied:
+        raise DataError("DGP produced tied doses within a pair")
+    return z1, y1, gaps
+
+
 def _population_components(dgp: DgpSpec, stream: tuple = ()):
     """Frozen draws -> (transformed gaps, concordance, phi values).
 
@@ -115,33 +158,20 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
     assessing the Monte Carlo variability of the outputs.
 
     The gaps and the concordance are new arrays that the caller may
-    overwrite; the phi values may be an array that a custom phi keeps, and
-    are only read.  The outcome difference overwrites y1 when a built-in
-    sampler has just made it, and the doses are dropped as soon as the pair
-    differences exist (and the gaps, for a link other than the identity):
-    at most four arrays of the draw's size are alive at once (z1, z2 and
-    both differences).  The identity link's gaps are then |dose_diff|, the
-    subtraction ``DoseLink.gaps`` makes, and the concordance is built a
-    block at a time.  Each rank phi reads is written over its |difference|,
-    and holds two more arrays while it sorts (the order and the sorted
-    values) beside the gaps and one or both differences.
+    overwrite; the phi values may be a read-only view or an array that a
+    custom phi keeps, and are only read.  The draw comes as the two pair
+    differences (``_pair_differences``), and the concordance is found from
+    them a leaf at a time before the gaps: the identity link's gaps,
+    |dose_diff|, are then taken over the dose difference when phi does not
+    read its rank.  Each rank phi reads is written over its |difference|,
+    and holds the sort order while it ranks.  At the peak of a solve, the
+    built-in samplers hold about 22 bytes a draw for McNemar on constant
+    gaps, 29 for Wilcoxon (35 with shared pair noise) and 37 for
+    double-rank.
     """
-    z1, z2, y1, y2 = (np.asarray(v, dtype=float) for v in dgp.draw(stream=tuple(stream)))
-    # a custom sampler may keep its arrays, so only a built-in one's are reused
-    outcome_diff = np.subtract(y1, y2, out=y1 if dgp.is_named else None)
-    del y1, y2
-    dose_diff = z1 - z2
-    if np.any(dose_diff == 0):
-        raise DataError("DGP produced tied doses within a pair")
-    if dgp.link.kind == "identity":
-        # what DoseLink.gaps checks and subtracts, without a fifth array
-        dgp.link.validate_on(z1)
-        dgp.link.validate_on(z2)
-        del z1, z2
-        gaps = np.abs(dose_diff)
-    else:
-        gaps = dgp.link.gaps(z1, z2)
-        del z1, z2
+    dose_diff, outcome_diff, gaps = dgp.draw_into(
+        partial(_pair_differences, dgp.link), tuple(stream)
+    )
     n = dose_diff.size
     concordant = np.empty(n, dtype=bool)
     product = np.empty(min(n, LEAF))
@@ -154,6 +184,10 @@ def _population_components(dgp: DgpSpec, stream: tuple = ()):
     del product
 
     reads = dgp.phi_reads()
+    if gaps is None:
+        # the subtraction DoseLink.gaps makes, over the dose difference when
+        # no rank of it is read
+        gaps = np.abs(dose_diff, out=None if "u" in reads else dose_diff)
     # a rank phi does not read is a NaN view, which the finiteness check catches
     unread = np.broadcast_to(np.nan, (n,))
     u = _cdf_at_draws(dose_diff) if "u" in reads else unread

@@ -6,13 +6,19 @@ name plus a parameter dict so that simulation configurations are picklable
 and serializable; custom callables are accepted wherever parallelism is not
 requested.
 
-The built-in samplers draw each noise term straight into the output array
-that holds it and add the rest of the formula a block of ``gammas.LEAF``
-terms at a time; addition commutes, so every value has the bits of the
-formula.  At most four arrays of n floats are alive at once (five with
-shared pair noise), the four outputs or the arrays that become them.
-Their arrays are new, so the planning solves may overwrite them; a custom
-sampler's arrays are only read.
+The built-in samplers draw their outcomes a leaf of ``gammas.LEAF`` pairs
+at a time: a leaf's noise is drawn and effect * z (+ shared) is added to
+it; addition commutes, so every value has the bits of the formula.  A
+generator gives the same values, and ends in the same state, whether it
+draws n values in one call or a leaf at a time, so the draws are those of
+one call per array.  A sampler hands its draw to a *sink* with the last
+outcome, y2, still to draw a leaf at a time (``_whole``): ``DgpSpec.draw``
+and ``sample_pairs`` gather it into one array, and the frozen draw of the
+planning solves (``DgpSpec.draw_into``) subtracts each leaf of y2 from y1
+as it comes.  A sampler thus holds three arrays of n floats (four with shared
+pair noise; ``constant-gap`` holds z2 as one-byte coin flips and forms it a
+leaf at a time).  Their arrays are new, so the planning solves may
+overwrite them; a custom sampler's arrays are only read.
 """
 
 from __future__ import annotations
@@ -23,14 +29,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .gammas import LEAF, blocks
+from .gammas import blocks, gather, leaves
 from .pairs import DoseLink
 from .rngs import STREAM_DGP, child_rng
 
 # Rank-score functions phi(u, v) on normalized ranks u (dose gap) and
 # v (outcome gap), both in (0, 1].  Must be nonnegative.
 RANK_SCORE_FNS: dict = {
-    "mcnemar": lambda u, v: np.ones_like(np.asarray(v, dtype=float)),
+    # a read-only view of one 1.0, not an array of n ones
+    "mcnemar": lambda u, v: np.broadcast_to(1.0, np.shape(v)),
     "wilcoxon": lambda u, v: np.asarray(v, dtype=float),
     "double-rank": lambda u, v: np.asarray(u, dtype=float) * np.asarray(v, dtype=float),
 }
@@ -58,11 +65,26 @@ def rank_score_fn(phi) -> Callable:
     raise ConfigError(f"cannot interpret rank-score function {phi!r}")
 
 
-# 20 times the design-sens default: about 0.7-0.9 GB at the 33-42 bytes a
-# draw holds at the peak
+# 20 times the design-sens default: about 0.45-0.75 GB at the 22-37 bytes a
+# draw holds at the peak of a planning solve
 MAX_MC_DRAWS = 20_000_000
 
 # ----------------------------------------------------------- built-in DGPs --
+
+
+def _whole(z1, z2, y1, y2):
+    """The sink that keeps a draw whole: ``(z1, z2, y1, y2)`` as arrays.
+
+    A built-in sampler ends by handing its draw to a sink.  z1 and y1 are
+    arrays the sink may write; z2 is an array or a function of a leaf's
+    slice that returns that leaf; y2 is such a function, which draws as it
+    goes, so it is called once per leaf of ``gammas.blocks``, in order, and
+    leaf b of y1 is final once y2(b) has returned.
+    """
+    n = z1.size
+    z2 = gather(z2, n)
+    y2 = gather(y2, n)
+    return z1, z2, y1, y2
 
 
 def _uniform_doses(rng, n, params):
@@ -73,41 +95,41 @@ def _uniform_doses(rng, n, params):
     return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
 
 
-def _add_response(y, effect, z, shared=None):
-    """y += effect * z (+ shared), a block at a time.
+def _response(rng, noise_sd, effect, z, shared=None):
+    """Leaves of effect * z (+ shared) + noise: leaf b draws its noise and
+    adds the rest of the formula to it; addition commutes, so each value has
+    the bits of the formula."""
+    z = leaves(z)
 
-    ``y`` holds the noise, drawn straight into it; addition commutes, so
-    each sum has the bits of effect * z (+ shared) + noise.
-    """
-    scratch = np.empty(min(y.size, LEAF))
-    for b in blocks(y.size):
-        term = np.multiply(effect, z[b], out=scratch[:b.stop - b.start])
+    def leaf(b):
+        y = rng.normal(0.0, noise_sd, b.stop - b.start)
+        term = np.multiply(effect, z(b))
         if shared is not None:
             term += shared if np.ndim(shared) == 0 else shared[b]
-        y[b] += term
+        y += term
+        return y
+
+    return leaf
 
 
-def _paired_normal(rng, n, params):
+def _paired_normal(rng, n, params, sink=_whole):
     """Linear dose response with normal noise: y = effect*z + shared + eps."""
     effect = float(params.get("effect", 0.0))
     noise_sd = float(params.get("noise_sd", 1.0))
     pair_noise_sd = float(params.get("pair_noise_sd", 0.0))
     z1, z2 = _uniform_doses(rng, n, params)
     shared = rng.normal(0.0, pair_noise_sd, n) if pair_noise_sd > 0 else 0.0
-    y1 = rng.normal(0.0, noise_sd, n)
-    _add_response(y1, effect, z1, shared)
-    y2 = rng.normal(0.0, noise_sd, n)
-    _add_response(y2, effect, z2, shared)
-    return z1, z2, y1, y2
+    y1 = gather(_response(rng, noise_sd, effect, z1, shared), n)
+    return sink(z1, z2, y1, _response(rng, noise_sd, effect, z2, shared))
 
 
-def _null(rng, n, params):
+def _null(rng, n, params, sink=_whole):
     params = dict(params)
     params["effect"] = 0.0
-    return _paired_normal(rng, n, params)
+    return _paired_normal(rng, n, params, sink)
 
 
-def _fixed_concordance(rng, n, params):
+def _fixed_concordance(rng, n, params, sink=_whole):
     """Outcome gap agrees with the dose gap with fixed probability theta,
     independently of the gap size; gaps themselves are continuous."""
     theta = float(params.get("theta", 0.75))
@@ -116,27 +138,26 @@ def _fixed_concordance(rng, n, params):
     z1, z2 = _uniform_doses(rng, n, params)
     # half the outcome gap, sign(z1 - z2) * agree * |magnitude| * 0.5, is
     # built over the magnitude draw
-    half_diff = rng.normal(0.0, 1.0, n)
-    agree = rng.random(n)
-    scratch = np.empty(min(n, LEAF))
+    half = rng.normal(0.0, 1.0, n)
     for b in blocks(n):
-        term = np.subtract(z1[b], z2[b], out=scratch[:b.stop - b.start])
-        np.sign(term, out=term)
-        term *= np.where(agree[b] < theta, 1.0, -1.0)
-        term *= np.abs(half_diff[b])
+        agree = np.where(rng.random(b.stop - b.start) < theta, 1.0, -1.0)
+        term = np.sign(np.subtract(z1[b], z2[b]))
+        term *= agree
+        term *= np.abs(half[b])
         term *= 0.5
-        half_diff[b] = term
-    del agree
-    # y1 = mid + half_diff over the mid draw, y2 = mid - half_diff over half_diff
-    y1 = rng.normal(0.0, 1.0, n)
-    for b in blocks(n):
-        term = np.subtract(y1[b], half_diff[b], out=scratch[:b.stop - b.start])
-        y1[b] += half_diff[b]
-        half_diff[b] = term
-    return z1, z2, y1, half_diff
+        half[b] = term
+
+    def y2(b):
+        # mid - half; y1 = mid + half is written over half
+        mid = rng.normal(0.0, 1.0, b.stop - b.start)
+        low = np.subtract(mid, half[b])
+        half[b] += mid
+        return low
+
+    return sink(z1, z2, half, y2)
 
 
-def _constant_gap(rng, n, params):
+def _constant_gap(rng, n, params, sink=_whole):
     """Doses a fixed distance apart (every pair gets the same gap)."""
     gap = float(params.get("gap", 1.0))
     if gap <= 0:
@@ -146,16 +167,21 @@ def _constant_gap(rng, n, params):
     z1 = rng.uniform(
         float(params.get("dose_low", 0.0)), float(params.get("dose_high", 1.0)), n
     )
-    # z2 = z1 + sign * gap, built in the array that first holds the sign
-    z2 = rng.integers(0, 2, n) * 2.0
-    z2 -= 1.0
-    z2 *= gap
-    z2 += z1
-    y1 = rng.normal(0.0, noise_sd, n)
-    _add_response(y1, effect, z1)
-    y2 = rng.normal(0.0, noise_sd, n)
-    _add_response(y2, effect, z2)
-    return z1, z2, y1, y2
+    # which side of z1 each z2 lies on, a byte a pair
+    coins = np.empty(n, dtype=np.int8)
+    for b in blocks(n):
+        coins[b] = rng.integers(0, 2, b.stop - b.start)
+
+    def z2(b):
+        # z1 + (2 * coin - 1) * gap, built in the array that first holds the sign
+        z = coins[b] * 2.0
+        z -= 1.0
+        z *= gap
+        z += z1[b]
+        return z
+
+    y1 = gather(_response(rng, noise_sd, effect, z1), n)
+    return sink(z1, z2, y1, _response(rng, noise_sd, effect, z2))
 
 
 BUILTIN_DGPS: dict = {
@@ -213,6 +239,21 @@ class DgpSpec:
         """One frozen draw of n pairs (default mc_draws) for this spec's seed."""
         rng = child_rng(self.seed, STREAM_DGP, *stream)
         return self.sample_pairs(rng, n if n is not None else self.mc_draws)
+
+    def draw_into(self, sink, stream: tuple = ()):
+        """The frozen draw of ``draw(stream=stream)`` handed to ``sink``, as
+        a built-in sampler hands it (see ``_whole``); returns what the sink
+        returns.  The sink may write z1 and y1, so of a custom sampler's
+        arrays, broadcast to one shape, z1 and y1 are handed over as copies
+        and z2 and y2 as they are, to be read."""
+        rng = child_rng(self.seed, STREAM_DGP, *stream)
+        n = int(self.mc_draws)
+        if self.is_named:
+            return BUILTIN_DGPS[self.sampler](rng, n, self.params, sink)
+        z1, z2, y1, y2 = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in self.sampler(rng, n))
+        )
+        return sink(z1.copy(), z2, y1.copy(), y2)
 
     def phi_fn(self) -> Callable:
         return rank_score_fn(self.phi)

@@ -107,6 +107,25 @@ def blocks(n: int):
     return (slice(i, min(i + LEAF, n)) for i in range(0, n, LEAF))
 
 
+def leaves(values):
+    """Leaf ``b`` (a slice of ``blocks``) of an array, or of a function that
+    returns leaves."""
+    return values if callable(values) else values.__getitem__
+
+
+def gather(values, n: int):
+    """The n values that ``values`` holds, or returns a leaf at a time, as
+    one array."""
+    if not callable(values):
+        return values
+    if n <= LEAF:
+        return values(slice(0, n))
+    whole = np.empty(n)
+    for b in blocks(n):
+        whole[b] = values(b)
+    return whole
+
+
 @dataclass(frozen=True)
 class GammaSchedule:
     """Frozen per-pair bias bounds.

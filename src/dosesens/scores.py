@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .gammas import LEAF
 from .pairs import MatchedSample
 
 KINDS = ("mcnemar", "wilcoxon", "dose-weighted-abs", "double-rank", "general")
@@ -36,25 +37,34 @@ def rank(values, ties: str = "average", out=None) -> np.ndarray:
     """Ranks 1..n of a 1-d array; a block of tied values shares the mean
     (``"average"``) or the largest (``"max"``) of the ranks it spans.
 
-    One argsort orders the values, and running minima and maxima over the
-    sorted positions find where each block of equal values ends and starts;
-    NaNs form one block, as they do in ``np.unique``.  Without ties, the
-    ranks are the sorted positions plus one.  Ranks are integers or
-    half-integers, exact in float64.  They are written into ``out`` when it
-    is given, which may be ``values`` itself.
+    One argsort orders the values.  Ties are found a leaf of ``gammas.LEAF``
+    sorted positions at a time, over ``values[order[i:j + 1]]``, so no
+    sorted copy of the values is made; NaNs form one block, as they do in
+    ``np.unique``.  Without ties, the ranks are the sorted positions plus
+    one, written a leaf at a time too: beside the ranks, ``rank`` then holds
+    the order and a byte a value.  With ties, running minima and maxima
+    over the sorted positions find where each block of equal values ends
+    and starts.  Ranks are integers or half-integers, exact in float64.
+    They are written into ``out`` when it is given, which may be ``values``
+    itself.
     """
     values = np.asarray(values)
     n = values.size
     order = np.argsort(values)
-    ordered = values[order]
     # tied[i]: sorted positions i and i + 1 hold one value
-    tied = ordered[1:] == ordered[:-1]
-    if n and ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
-        tied[np.searchsorted(ordered, ordered[-1]):] = True  # NaNs sort last
-    del ordered
+    tied = np.empty(max(n - 1, 0), dtype=bool)
+    for i in range(0, n, LEAF):
+        j = min(i + LEAF, n)
+        ordered = values[order[i:j + 1]]
+        np.equal(ordered[1:], ordered[:-1], out=tied[i:j])
+        if ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+            tied[i + np.searchsorted(ordered, ordered[-1]):j] = True  # NaNs sort last
     ranks = np.empty(n) if out is None else out
     if not tied.any():
-        ranks[order] = np.arange(1.0, n + 1.0)
+        del tied
+        for i in range(0, n, LEAF):
+            j = min(i + LEAF, n)
+            ranks[order[i:j]] = np.arange(i + 1.0, j + 1.0)
         return ranks
     # last (0-based) sorted position of each position's block
     shared = np.arange(n, dtype=float)
@@ -331,9 +341,13 @@ def parse_phi_expression(expr: str) -> Callable:
         namespace = {"r_z": r_z, "r_y": r_y, **_PHI_FUNCS}
         try:
             value = eval(code, {"__builtins__": {}}, namespace)
-        except ArithmeticError as exc:  # Python-number arithmetic, e.g. 1 / 0
+            # Python-number arithmetic (1 / 0), NumPy on a number too large
+            # for it (exp(10**23)) and the conversion below
+            if np.iscomplexobj(value):  # (-8) ** 0.5
+                raise ValueError("the value is complex")
+            return np.asarray(value, dtype=float)
+        except (ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(f"phi expression cannot be evaluated: {exc}") from exc
-        return np.asarray(value, dtype=float)
 
     phi.expression = expr
     return phi

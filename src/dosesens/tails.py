@@ -133,20 +133,53 @@ def _merged_distribution(q: tuple, p: tuple):
         probs = np.zeros_like(values)
         np.add.at(probs, inverse, cand_probs)
         if values.size > SUPPORT_CAP:
-            raise DataError(
-                f"exact tail support exceeds {SUPPORT_CAP} points; "
-                "use the Monte Carlo or normal method"
-            )
+            raise _support_too_large()
     return values, probs
+
+
+def _reaches_past_cap(steps: list) -> bool:
+    """Whether the sums of subsets of the integer ``steps`` take more than
+    ``SUPPORT_CAP`` values.  The steps are divided by their greatest common
+    divisor, and the sums below ``4 * SUPPORT_CAP`` are marked one bit each
+    in a Python int: a lower bound on the count, so True is certain and
+    False leaves the question to the merge loop."""
+    divisor = math.gcd(*steps)
+    width = 4 * SUPPORT_CAP
+    window = (1 << width) - 1
+    reach = 1
+    for i, step in enumerate(steps, 1):
+        step //= divisor
+        if step < width:
+            reach = (reach | reach << step) & window
+        if i % 64 == 0 and reach.bit_count() > SUPPORT_CAP:
+            return True
+    return reach.bit_count() > SUPPORT_CAP
+
+
+def _support_too_large() -> DataError:
+    return DataError(
+        f"exact tail support exceeds {SUPPORT_CAP} points; "
+        "use the Monte Carlo or normal method"
+    )
 
 
 @lru_cache(maxsize=64)
 def _convolved_distribution(q: tuple, p: tuple):
-    """Support and probabilities of sum q_i*B_i, sorted by support value."""
+    """Support and probabilities of sum q_i*B_i, sorted by support value.
+
+    A lattice over the cap goes to the merge loop, whose support only grows
+    pair by pair; when its reachable points already pass the cap, the merge
+    would raise at the end, so the error is raised before it starts.
+    """
     weights = np.array(q, dtype=float)
     k = _lattice_step(weights)
-    if k is not None and weights.sum() * k < SUPPORT_CAP:
-        return _lattice_distribution((weights * k).astype(np.int64).tolist(), p, k)
+    span = weights.sum() * k if k is not None else math.inf
+    if span < 2.0**53:  # steps exact as int64
+        steps = (weights * k).astype(np.int64).tolist()
+        if span < SUPPORT_CAP:
+            return _lattice_distribution(steps, p, k)
+        if _reaches_past_cap(steps):
+            raise _support_too_large()
     return _merged_distribution(q, p)
 
 

@@ -1,13 +1,15 @@
 """Passes over the frozen draws a leaf at a time, against whole arrays.
 
 Every mean over the draws is summed a leaf of at most ``gammas.LEAF`` terms
-at a time, the leaf sums added along NumPy's pairwise tree, and the built-in
-samplers add their terms block by block.  Each must give the bytes of the
-whole-array computation (``tests/oracles.py``), at sizes either side of a
-leaf as well as far from one.
+at a time, the leaf sums added along NumPy's pairwise tree; the built-in
+samplers draw their last outcome array a leaf at a time and add their terms
+leaf by leaf, and the frozen draw keeps only the pair differences.  Each
+must give the bytes of the whole-array computation (``tests/oracles.py``),
+at sizes either side of a leaf as well as far from one.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -60,6 +62,58 @@ def test_builtin_samplers_give_the_whole_array_bytes(sampler, params, n):
     dgp = DgpSpec(sampler=sampler, params=params, mc_draws=n, seed=11)
     for got, want in zip(dgp.draw(), reference_draw(dgp)):
         assert got.tobytes() == want.tobytes()
+
+
+# every distribution the built-in samplers draw, with the arguments they use
+DISTRIBUTIONS = {
+    "normal": lambda rng, m: rng.normal(0.0, 0.7, m),
+    "uniform": lambda rng, m: rng.uniform(0.5, 3.0, m),
+    "integers": lambda rng, m: rng.integers(0, 2, m),
+    "random": lambda rng, m: rng.random(m),
+}
+
+
+@pytest.mark.parametrize("leaf", [LEAF, 1000, 777])
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+def test_a_generator_draws_the_same_values_a_leaf_at_a_time(name, leaf):
+    draw, n = DISTRIBUTIONS[name], 2 * LEAF + 8
+    whole, leafwise = np.random.default_rng(41), np.random.default_rng(41)
+    for rng in (whole, leafwise):
+        rng.random(3)  # a generator part of the way through its stream
+    expected = draw(whole, n)
+    got = np.concatenate([draw(leafwise, min(leaf, n - i)) for i in range(0, n, leaf)])
+    assert got.tobytes() == expected.tobytes()
+    assert leafwise.bit_generator.state == whole.bit_generator.state
+
+
+# positive doses, so the log link applies
+DIFFERENCE_CASES = [
+    ("paired-normal", {"effect": 0.3, "pair_noise_sd": 0.7, "noise_sd": 0.5}),
+    ("null", {"pair_noise_sd": 0.4}),
+    ("fixed-concordance", {"theta": 0.7}),
+    ("constant-gap", {"effect": 0.5, "gap": 0.5}),
+]
+
+
+@pytest.mark.parametrize("n", [LEAF - 1, LEAF + 1, 2 * LEAF + 8])
+@pytest.mark.parametrize("stream", [(), (3, 1)])
+@pytest.mark.parametrize("link", [DoseLink(), DoseLink(kind="log")], ids=["identity", "log"])
+@pytest.mark.parametrize("sampler,params", DIFFERENCE_CASES)
+def test_frozen_draw_gives_the_bytes_of_the_whole_array_differences(
+    sampler, params, link, stream, n
+):
+    params = {**params, "dose_low": 1.0, "dose_high": 3.0}
+    dgp = DgpSpec(sampler=sampler, params=params, link=link, mc_draws=n, seed=23)
+    dose_diff, outcome_diff, gaps = dgp.draw_into(
+        partial(asymptotics._pair_differences, link), stream
+    )
+    z1, z2, y1, y2 = reference_draw(dgp, stream)
+    assert dose_diff.tobytes() == (z1 - z2).tobytes()
+    assert outcome_diff.tobytes() == (y1 - y2).tobytes()
+    if link.kind == "identity":
+        assert gaps is None
+    else:
+        assert gaps.tobytes() == link.gaps(z1, z2).tobytes()
 
 
 def _custom_sampler(rng, n):

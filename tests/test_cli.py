@@ -7,11 +7,12 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from dosesens.cli import main
 from dosesens.dgps import DgpSpec
-from dosesens.pairs import write_csv
+from dosesens.pairs import sample_from_arrays, write_csv
 
 
 def run_cli(*args):
@@ -168,6 +169,44 @@ def test_huge_phi_exponent_is_a_config_error_before_evaluation():
     error = json.loads(proc.stderr)["error"]
     assert error["code"] == "config-error"
     assert "exponents" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(-8)**0.5 + r_y",  # complex: its real part would be the score
+        "exp(99999999999999999999999) * r_y",  # an int NumPy cannot hold
+    ],
+    ids=["complex", "huge-int"],
+)
+def test_phi_expressions_numpy_rejects_are_config_errors(expr):
+    proc = run_cli("analyze", PAIRS_60, "--gamma-bar", "1.5", "--method", "normal",
+                   f"--test={expr}")
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "config-error"
+    assert "phi expression cannot be evaluated" in error["message"]
+
+
+def test_exact_support_past_the_cap_fails_fast(tmp_path):
+    # 1,500 Wilcoxon pairs with outcomes on a 0.1 grid: midrank halves span
+    # a lattice over the cap, and the merge loop took minutes to reach it
+    rng = np.random.default_rng(4)
+    z = rng.uniform(0.5, 3.0, (1500, 2))
+    y = np.round(0.8 * z + rng.normal(0.0, 1.0, z.shape), 1)
+    path = tmp_path / "pairs.csv"
+    write_csv(sample_from_arrays(z[:, 0], z[:, 1], y[:, 0], y[:, 1]), path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dosesens.cli", "analyze", str(path), "--gamma-bar", "1.5",
+         "--method", "exact"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "data-error"
+    assert "exact tail support exceeds" in error["message"]
 
 
 @pytest.mark.parametrize("expr", ["r_y ** 2", "sqrt(r_z * r_y)"])

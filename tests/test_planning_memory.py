@@ -33,28 +33,37 @@ def _peak_bytes_per_draw(solve, dgp):
 @pytest.mark.parametrize(
     "solve,dgp,bound",
     [
-        # 33.3 bytes a draw (NumPy 2.4); 40.0 while the passes held draw-sized
-        # scratch, 67.0 while the draw arrays lived to the end
+        # 22.3 bytes a draw (NumPy 2.4); 33.3 while the samplers held y2 and
+        # z2 whole, 40.0 while the passes held draw-sized scratch, 67.0 while
+        # the draw arrays lived to the end
         (design_sensitivity,
          dict(sampler="constant-gap", params={"effect": 0.5, "gap": 1.0}, phi="mcnemar"),
-         34.0),
-        # 34.0 bytes a draw (NumPy 2.4); 42.0 with draw-sized scratch, 130.0
-        # when np.unique took the ranks
+         24.0),
+        # 28.6 bytes a draw (NumPy 2.4); 34.0 with y2 whole, 42.0 with
+        # draw-sized scratch, 130.0 when np.unique took the ranks
         (lambda dgp: bahadur_slope(dgp, gamma_bar=1.2),
          dict(sampler="paired-normal", params={"effect": 0.5}, phi="wilcoxon"),
-         37.0),
-        # 42.0 bytes a draw (NumPy 2.4); 50.0 with draw-sized scratch
+         30.0),
+        # 36.6 bytes a draw (NumPy 2.4); 42.0 while the ranks held a sorted
+        # copy of the values, 50.0 with draw-sized scratch
         (design_sensitivity,
          dict(sampler="fixed-concordance", params={"theta": 0.7}, phi="double-rank"),
-         45.0),
+         38.0),
+        # 34.6 bytes a draw (NumPy 2.4), the shared pair noise held whole
+        # while y2 is drawn; 41.3 with y2 whole
+        (lambda dgp: bahadur_slope(dgp, gamma_bar=1.2),
+         dict(sampler="paired-normal", params={"effect": 0.5, "pair_noise_sd": 0.5},
+              phi="wilcoxon"),
+         37.0),
     ],
-    ids=["design-sens-mcnemar", "bahadur-wilcoxon", "design-sens-double-rank"],
+    ids=["design-sens-mcnemar", "bahadur-wilcoxon", "design-sens-double-rank",
+         "bahadur-wilcoxon-pair-noise"],
 )
 def test_peak_bytes_per_draw(solve, dgp, bound):
     assert _peak_bytes_per_draw(solve, {**dgp, "mc_draws": DRAWS, "seed": 3}) <= bound
 
 
-def test_custom_sampler_and_phi_arrays_are_never_written():
+def test_custom_sampler_and_phi_arrays_are_never_written(link=DoseLink()):
     kept, copies = [], []
 
     def sampler(rng, n):
@@ -72,12 +81,17 @@ def test_custom_sampler_and_phi_arrays_are_never_written():
         copies.append(values.copy())
         return values
 
-    dgp = DgpSpec(sampler=sampler, phi=phi, mc_draws=20_000, seed=5)
+    dgp = DgpSpec(sampler=sampler, phi=phi, link=link, mc_draws=20_000, seed=5)
     star = design_sensitivity(dgp)
     bahadur_slope(dgp, gamma_bar=1.0 + 0.5 * (star.gamma_bar_star - 1.0))
     assert len(kept) == 10
     for array, copy in zip(kept, copies):
         assert array.tobytes() == copy.tobytes()
+
+
+def test_custom_sampler_arrays_are_never_written_under_another_link():
+    # the log link's gaps are taken from z2 whole, before the differences
+    test_custom_sampler_and_phi_arrays_are_never_written(DoseLink(kind="log"))
 
 
 def test_identity_link_returns_new_arrays():

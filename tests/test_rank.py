@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dosesens.errors import DataError
+from dosesens.gammas import LEAF
 from dosesens.scores import rank, rank_abs
 
 from oracles import reference_rank
@@ -33,6 +34,30 @@ def test_rank_matches_unique_construction_bit_for_bit(ties):
         got, expected = rank(values, ties=ties), reference_rank(values, ties=ties)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes(), values
+
+
+def _leaf_boundary_arrays(rng):
+    """Arrays over several leaves of sorted positions whose ties or NaN
+    block start just before, at or just after a leaf's first position."""
+    n = 2 * LEAF + 8
+    for first_nan in (LEAF - 1, LEAF, LEAF + 1, n - 1, n):
+        for values in (np.round(rng.normal(size=n), 1), rng.normal(size=n)):
+            values[rng.permutation(n)[:n - first_nan]] = np.nan
+            yield values
+    for start in (LEAF - 1, LEAF):  # one tie, across a leaf boundary or not
+        values = np.arange(n, dtype=float)
+        values[start + 1] = values[start]
+        yield rng.permutation(values)
+
+
+@pytest.mark.parametrize("ties", ["max", "average"])
+def test_rank_finds_ties_across_leaves_bit_for_bit(ties):
+    for values in _leaf_boundary_arrays(np.random.default_rng(72)):
+        got, expected = rank(values, ties=ties), reference_rank(values, ties=ties)
+        assert got.tobytes() == expected.tobytes()
+        written = values.copy()
+        assert rank(written, ties=ties, out=written) is written
+        assert written.tobytes() == expected.tobytes()
 
 
 def test_strict_ties_still_raise():

@@ -122,6 +122,29 @@ def test_lattice_at_the_cap_is_dense_and_over_it_raises_as_before():
     assert str(ours.value) == str(reference.value)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_reachable_count_matches_the_merged_support(seed, monkeypatch):
+    # a cap of 40 points, so small supports fall either side of it
+    rng = np.random.default_rng(seed)
+    # sums below 4 * 40, so all of them are counted
+    steps = (rng.integers(0, 9, rng.integers(1, 7)) * rng.integers(1, 4)).tolist()
+    points = {0}
+    for step in steps:
+        points |= {v + step for v in points}
+    monkeypatch.setattr(tails, "SUPPORT_CAP", 40)
+    assert tails._reaches_past_cap(steps) == (len(points) > 40)
+
+
+def test_reach_counts_a_lower_bound_after_the_common_divisor():
+    powers = [1 << i for i in range(22)]  # every point of 2**22, past the cap
+    assert tails._reaches_past_cap(powers)
+    assert tails._reaches_past_cap([3_000_000 << i for i in range(22)])
+    assert not tails._reaches_past_cap([3_000_000] * 23)  # 24 points
+    # the same 2**22 sums, all but 0 and 1 past 4 * SUPPORT_CAP: uncounted,
+    # so the merge loop decides, as before
+    assert not tails._reaches_past_cap([1, *(4 * tails.SUPPORT_CAP << i for i in range(22))])
+
+
 def test_exact_tails_over_the_whole_support_stay_probabilities():
     # the point probabilities of these 20 Wilcoxon pairs sum past 1 in floats
     rng = np.random.default_rng(0)
