@@ -11,32 +11,51 @@ a convex program with one linear equality, one convex quadratic ball and
 coordinate bounds.  Every step below is exact; nothing iterates to a
 tolerance.
 
-1. feasibility screens: box vs plane, then the projection of the plane-box
-   set onto the ball, which ends the solve when the ball misses that set
-   (infeasible) or only touches it (the projection is the answer);
+1. a box-plane feasibility check;
 2. a closed-form KKT candidate ignoring the box (two multipliers solved
-   exactly); if it lands inside the box it is optimal.  This candidate is
-   computed before the projection: when it lies in the box and a point a
-   short step from it toward the box-free projection, still in the box, has
-   a ball term below budget - 2 * slack, the projection screen cannot fire
-   and is skipped.  The answer is the same either way;
-3. otherwise a search on the ball multiplier nu.  For fixed nu the
-   coordinate minimizers are clip(center - (c + lambda)/(2 nu a), l, u), and
-   their sum is monotone and piecewise linear in the plane multiplier
-   lambda, so lambda is found by one sort of the 2n breakpoints and one scan
-   (the breakpoint search for the continuous quadratic knapsack problem;
-   Helgason, Kennington & Lall 1980, Kiwiel 2008).  On a fixed active set F
-   the ball term is exactly t^2 V + R^2/A + Q_fixed in t = 1/(2 nu), with
+   exactly); if it lands inside the box it is optimal.  When, in addition,
+   a point a short step from it toward the box-free projection, still in
+   the box, has a ball term below budget - 2 * slack, the projection screen
+   of step 4 cannot fire and is skipped;
+3. otherwise a search on the ball multiplier nu, in exact steps.  For fixed
+   nu the coordinate minimizers are clip(center - (c + lambda)/(2 nu a), l,
+   u), and their sum is monotone and piecewise linear in the plane
+   multiplier lambda, so lambda is found by one sort of the 2n breakpoints
+   and one scan (the breakpoint search for the continuous quadratic
+   knapsack problem; Helgason, Kennington & Lall 1980, Kiwiel 2008).  On a
+   fixed active set F the ball term is exactly t^2 V + R^2/A + Q_fixed in
+   t = 1/(2 nu), with
 
        A = sum_F 1/a,  C = sum_F c/a,  d = c - C/A,  V = sum_F d^2/a,
        R = sum_F center + sum_fixed x - total,
 
-   so each step solves ball term = budget in closed form.  A bracket on nu
-   rejects steps that leave it (a bracket midpoint replaces them); a piece
-   whose ball term misses budget moves the bracket to its far end.  The
-   search stops only when a step keeps the active set, i.e. at the exact
-   root up to rounding, never merely within the budget slack: a value above
-   the true minimum would make a branch-and-bound bound anti-conservative.
+   so each step solves ball term = budget in closed form on the active set
+   of the last solve.  The first step uses the active set of the box-free
+   candidate of step 2 clipped to the box.  A bracket on nu rejects steps
+   that leave it (a bracket midpoint replaces them); a piece whose ball
+   term misses budget moves the bracket to its far end.  The search stops
+   only when a step keeps the active set, i.e. at the exact root up to
+   rounding, never merely within the budget slack: a value above the true
+   minimum would make a branch-and-bound bound anti-conservative;
+4. before the search, two screens that can end the solve: the projection
+   of the plane-box set onto the ball ends it when the ball misses that
+   set (infeasible) or only touches it (the projection is the answer), and
+   a solve at a floor nu ends it when the ball does not bind there.  The
+   first step's piece certifies either screen silent when its closed-form
+   ball term clears budget by 3 slack at the piece's ends: above at the low
+   end, the floor cannot end the solve; below at the high end, the
+   projection, whose term is the limit nu -> inf, cannot.  A silent screen
+   is skipped, and with both silent the first step is taken at once: if it
+   keeps its active set it is the answer.  A floor solve whose ball term is
+   3 slack under budget also shows the projection silent, and answers.
+
+Every answer is bit for bit the one the screens and a search from the
+all-free active set would give: a screen is skipped only when it cannot
+fire, and the search returns the solve at the step of the active set that
+its own step keeps, however the search reached that set.
+
+A ``Ball`` holds the plane and the ball, validated once, with what depends
+on them alone, for a family of solves that differ only in c, l and u.
 
 A final polish redistributes the rounding residual of sum(x) = total across
 the coordinates with the smallest reduced costs, which leaves the objective
@@ -55,6 +74,7 @@ from .errors import SolverError
 _NU_GUARD = 1e50
 _MAX_NU_STEPS = 400
 _SCREEN_STEP = 2.0**-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -167,21 +187,23 @@ def project_plane_box(center, a, l, u, total):
     return _project(center, a, box, total)
 
 
-def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, total, ranged=True):
+def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, total):
     """The piece of the path x(nu) on which the active set of x holds.
 
     Off the free set F every coordinate is pressed against the bound it sits
     at.  On the piece each unclipped coordinate is affine in t = 1/(2 nu),
     y(t) = center - (R/A + t d)/a, and the ball term is t^2 V + R^2/A +
-    Q_fixed.  Returns the nu at which that ball term equals budget (None
-    when it never does: V = 0, or R^2/A + Q_fixed already reaches budget),
-    and, when ``ranged``, the smallest and largest nu at which every free y
-    stays in its box and every fixed one stays beyond its bound.  ``ca`` is
-    c * inv_a and ``inv_a`` is 1 / a.
+    Q_fixed = t^2 V + budget - room.  Returns ``(root, nu_min, nu_max, V,
+    room)``: the nu at which that ball term equals budget (None when it
+    never does: V = 0, or room <= 0), and the smallest and largest nu at
+    which every free y stays in its box and every fixed one stays beyond its
+    bound; a coordinate that does not move with t and sits on the wrong side
+    of a bound empties the piece (nu_min = inf, nu_max = 0), which a guessed
+    active set can do.  ``ca`` is c * inv_a and ``inv_a`` is 1 / a.
     """
     free = ~(at_l | at_u)
     if not free.any():
-        return None, 0.0, math.inf
+        return None, 0.0, math.inf, 0.0, 0.0
     fixed = ~free
     A = float(np.add.reduce(inv_a[free]))
     d = c - float(np.add.reduce(ca[free])) / A
@@ -190,14 +212,14 @@ def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, tota
     q_fixed = float(np.add.reduce((a * (x - center) ** 2)[fixed]))
     room = budget - R * R / A - q_fixed
     root = math.sqrt(V / (4.0 * room)) if V > 0.0 and room > 0.0 else None
-    if not ranged:
-        return root, None, None
     # y(t) = p - t m must stay >= floor and <= ceil
     p = center - R / A * inv_a
     m = d * inv_a
     floor = np.where(at_l, -np.inf, np.where(at_u, u, l))
     ceil = np.where(at_u, np.inf, np.where(at_l, l, u))
     up, down = m > 0.0, m < 0.0
+    if ((m == 0.0) & ((p < floor) | (p > ceil))).any():
+        return root, math.inf, 0.0, V, room
     slope = np.where(m == 0.0, 1.0, m)
     to_floor = (p - floor) / slope
     to_ceil = (p - ceil) / slope
@@ -205,97 +227,125 @@ def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, tota
                np.minimum.reduce(to_ceil[down], initial=math.inf))
     t_lo = max(np.maximum.reduce(to_ceil[up], initial=0.0),
                np.maximum.reduce(to_floor[down], initial=0.0))
-    return root, 0.5 / t_hi, 0.5 / t_lo if t_lo > 0.0 else math.inf
+    # 0.5 / t_hi without NumPy's divide-by-zero warning at t_hi = +-0
+    nu_min = 0.5 / t_hi if t_hi else math.copysign(math.inf, t_hi)
+    return root, nu_min, 0.5 / t_lo if t_lo > 0.0 else math.inf, V, room
+
+
+class Ball:
+    """The plane and the ball shared by a family of solves.
+
+    Holds sum(x) = total and sum(a * (x - center)^2) <= budget, validated
+    once, with everything that depends on them alone, so that each solve of
+    the family brings only its own c, l and u.  Raises SolverError on a
+    weight that is not positive (NaN included), a negative budget, or a NaN
+    or infinite budget, total or entry of center (or a sum of center, or of
+    1/a, that overflows).
+    """
+
+    __slots__ = ("a", "inv_a", "center", "budget", "total", "A1", "s0", "ball_slack",
+                 "toward", "radius", "budget_slack", "eq_slack")
+
+    def __init__(self, a, center, budget: float, total: float, feas_tol: float = 1e-9):
+        a = np.asarray(a, dtype=float)
+        center = np.asarray(center, dtype=float)
+        budget = float(budget)
+        total = float(total)
+        # written so that a NaN fails them
+        if not budget >= 0.0 or not (a > 0.0).all():
+            raise SolverError("ball weights must be positive and budget nonnegative")
+        center_sum = float(np.add.reduce(center))
+        inv_a = 1.0 / a
+        A1 = float(np.add.reduce(inv_a))
+        for value in (budget, total, center_sum, A1):
+            if not math.isfinite(value):
+                raise SolverError("solver data must be finite")
+        self.a, self.inv_a, self.center = a, inv_a, center
+        self.budget, self.total, self.A1 = budget, total, A1
+        # the box-free projection onto the plane is center + toward, with
+        # ball term s0^2 / A1 = budget - ball_slack
+        self.s0 = total - center_sum
+        self.ball_slack = budget - self.s0 * self.s0 / A1
+        self.toward = (self.s0 / A1) * inv_a
+        self.radius = math.sqrt(budget / float(np.minimum.reduce(a))) if budget > 0 else 0.0
+        self.budget_slack = feas_tol * max(1.0, budget)
+        self.eq_slack = feas_tol * max(1.0, abs(total))
 
 
 def minimize_linear(
     c,
     l,
     u,
-    a,
-    center,
-    budget: float,
-    total: float,
+    a=None,
+    center=None,
+    budget: float | None = None,
+    total: float | None = None,
     feas_tol: float = 1e-9,
+    *,
+    ball: Ball | None = None,
 ) -> QclpResult:
     """Solve the plane-ball-box linear minimization; see module docstring.
 
-    Raises SolverError on a weight that is not positive (NaN included), a
-    negative budget, or a NaN or infinite budget, total or entry of c, l, u
-    or center (or a sum of them, or of 1/a, that overflows).
+    The plane and ball come either as ``a, center, budget, total`` and
+    ``feas_tol`` or, in their place, as one prepared ``ball``, which a
+    family of solves with the same plane and ball can share.  Raises SolverError where Ball does,
+    and on a NaN or infinite entry of c, l or u (or a sum of them that
+    overflows).
     """
+    if ball is None:
+        ball = Ball(a, center, budget, total, feas_tol)
     c = np.asarray(c, dtype=float)
     l = np.asarray(l, dtype=float)
     u = np.asarray(u, dtype=float)
-    a = np.asarray(a, dtype=float)
-    center = np.asarray(center, dtype=float)
-    budget = float(budget)
-    total = float(total)
-    # written so that a NaN fails them
-    if not budget >= 0.0 or not (a > 0.0).all():
-        raise SolverError("ball weights must be positive and budget nonnegative")
+    a, inv_a, center = ball.a, ball.inv_a, ball.center
+    budget, total, A1 = ball.budget, ball.total, ball.A1
     # scalars the solve needs anyway; a NaN or infinity in the data shows here
     l_sum = float(np.add.reduce(l))
     u_sum = float(np.add.reduce(u))
-    center_sum = float(np.add.reduce(center))
     c_max = float(np.maximum.reduce(c))
     c_min = float(np.minimum.reduce(c))
-    inv_a = 1.0 / a
-    A1 = float(np.add.reduce(inv_a))
-    for value in (budget, total, l_sum, u_sum, center_sum, c_max - c_min, A1):
+    for value in (l_sum, u_sum, c_max - c_min):
         if not math.isfinite(value):
             raise SolverError("solver data must be finite")
     if not (l <= u).all() and (l > u + 1e-15 * np.maximum(1.0, np.abs(u))).any():
         return _INFEASIBLE
-    eq_slack = feas_tol * max(1.0, abs(total))
-    if l_sum > total + eq_slack or u_sum < total - eq_slack:
+    if l_sum > total + ball.eq_slack or u_sum < total - ball.eq_slack:
         return _INFEASIBLE
 
-    budget_slack = feas_tol * max(1.0, budget)
+    budget_slack = ball.budget_slack
     c_spread = c_max - c_min
     c_scale = max(c_max, -c_min)  # max |c|
     # objective constant on the plane: c @ x = c_mean * total + spread-noise
     flat = c_spread <= 1e-15 * max(1.0, c_scale)
 
     # ---- closed form ignoring the box ------------------------------------
-    s0 = total - center_sum
+    s0, ball_slack = ball.s0, ball.ball_slack
     ca = c * inv_a
     Ac = float(np.add.reduce(ca))
     Acc = float(np.add.reduce(c * c * inv_a))
     var_c = max(Acc - Ac * Ac / A1, 0.0)
-    ball_slack = budget - s0 * s0 / A1
-    closed = None
+    closed = warm = None
     if not flat and ball_slack > 0.0 and var_c > 0.0:
         nu = math.sqrt(var_c / (4.0 * ball_slack))
         lam = (-2.0 * nu * s0 - Ac) / A1
-        step = (c + lam) / (2.0 * nu * a)
-        x = center - step
+        offset = (c + lam) / (2.0 * nu * a)
+        x = center - offset
         if (x >= l).all() and (x <= u).all():
             closed = x
             # The screens below cannot end the solve if a plane-box point
             # has a ball term under budget - 2 slack.  From x toward the
-            # box-free projection center + (s0 / A1) / a the ball term falls as
+            # box-free projection center + toward the ball term falls as
             # s0^2/A1 + (1 - t)^2 ball_slack; try t = _SCREEN_STEP.
             t = _SCREEN_STEP
             if ball_slack * t * (2.0 - t) > 2.0 * budget_slack:
-                y = x + t * ((s0 / A1) * inv_a + step)
+                y = x + t * (ball.toward + offset)
                 if (y >= l).all() and (y <= u).all():
                     return QclpResult(status="optimal", value=float(c @ x), x=x)
+        else:
+            warm = x.clip(l, u, out=x)
 
     box = _Box(l, u, center, l_sum, u_sum)
-    proj, qmin = _project(center, a, box, total)
-    if qmin > budget + budget_slack:
-        return _INFEASIBLE
-    if qmin >= budget - budget_slack or flat:
-        # the feasible set is (numerically) the single projection point, or
-        # every point of it is optimal
-        return QclpResult(status="optimal", value=float(c @ proj), x=proj)
-    if closed is not None:
-        return QclpResult(status="optimal", value=float(c @ closed), x=closed)
-
-    # ---- active-set search on the ball multiplier ------------------------
-    radius = math.sqrt(budget / float(np.minimum.reduce(a))) if budget > 0 else 0.0
-    obj_scale = max(c_scale * max(radius, 1.0), 1.0)
+    obj_scale = max(c_scale * max(ball.radius, 1.0), 1.0)
     nu_floor = 1e-12 * obj_scale / max(budget, 1e-300)
 
     def solve_at(nu):
@@ -305,21 +355,78 @@ def minimize_linear(
         quad = float(np.add.reduce(a * (x - center) ** 2))
         return raw, x, quad, raw <= l, raw >= u
 
-    def piece(raw, at_l, at_u, ranged=True):
-        return _active_set_piece(
-            c, ca, a, inv_a, center, raw, at_l, at_u, l, u, budget, total, ranged
-        )
-
-    raw, x, quad, at_l, at_u = solve_at(nu_floor)
-    if quad <= budget + budget_slack:
+    def found(x, quad):
+        if quad > budget + budget_slack:
+            raise SolverError("dual search failed to recover a feasible point")
         return QclpResult(status="optimal", value=float(c @ x), x=x)
 
+    # ---- certificates from the piece the search starts on -----------------
+    floor_out = proj_out = False  # the floor solve, the projection screens
+    floor_x = None
+    if closed is None and not flat:
+        # the search starts from the active set of the clipped box-free
+        # point, or from the all-free set when there is no such point
+        if warm is None:
+            warm = center
+            at_l = at_u = np.zeros(c.size, dtype=bool)
+        else:
+            at_l, at_u = warm <= l, warm >= u
+        step, nu_min, nu_max, V, room = _active_set_piece(
+            c, ca, a, inv_a, center, warm, at_l, at_u, l, u, budget, total
+        )
+        # On a piece that is not empty the ball term V t^2 + budget - room,
+        # t = 1/(2 nu), is that of x(nu), which falls as nu grows.  More
+        # than 3 slack over budget at the piece's low end (or at the floor,
+        # when that is higher), the floor solve cannot end the solve.  More
+        # than 3 slack under budget at its high end, it bounds the
+        # projection's term, the limit nu -> inf, so neither projection
+        # screen can fire.  Rounding enters as follows: each computed d_i,
+        # and each c_i + lambda of a plane solve, is off by at most delta,
+        # which moves coordinate i by t delta / a_i and a ball term Q by at
+        # most 2 y sqrt(Q) + y^2, with y = t delta sqrt(A1).
+        margin = 3.0 * budget_slack
+        delta = 2.0 * (c.size + 4) * _EPS * c_scale * math.sqrt(A1)
+        nu_low = max(nu_min, nu_floor)
+        if 0.0 <= nu_min and nu_low <= nu_max:
+            s, y = 0.5 / nu_low * math.sqrt(V), 0.5 / nu_low * delta
+            q_low = budget - room + s * (s - 2.0 * y) - y * y  # at nu_low
+            y = 0.5 / nu_floor * delta
+            floor_out = (math.sqrt(max(q_low, 0.0)) > y
+                         and q_low - 2.0 * y * math.sqrt(q_low) - y * y > budget + margin)
+            s, y = 0.5 / nu_max * math.sqrt(V), 0.5 / nu_max * delta
+            proj_out = (s + y) ** 2 - room < -margin
+        if step is not None and floor_out and proj_out:
+            # the search is sure to run, and it ends at the step of the
+            # active set that its own step keeps: if this one does, that
+            # step is the answer
+            _, x, quad, new_l, new_u = solve_at(step)
+            if (new_l == at_l).all() and (new_u == at_u).all():
+                return found(x, quad)
+        if not floor_out:
+            _, floor_x, floor_quad, _, _ = solve_at(nu_floor)
+            # the floor point lies on the plane and in the box, so its ball
+            # term bounds the projection's: under budget - 3 slack neither
+            # projection screen can fire, and the floor is the answer
+            if floor_quad < budget - margin:
+                return QclpResult(status="optimal", value=float(c @ floor_x), x=floor_x)
+
+    if not proj_out:
+        proj, qmin = _project(center, a, box, total)
+        if qmin > budget + budget_slack:
+            return _INFEASIBLE
+        if qmin >= budget - budget_slack or flat:
+            # the feasible set is (numerically) the single projection point,
+            # or every point of it is optimal
+            return QclpResult(status="optimal", value=float(c @ proj), x=proj)
+        if closed is not None:
+            return QclpResult(status="optimal", value=float(c @ closed), x=closed)
+    if floor_x is not None and floor_quad <= budget + budget_slack:
+        return QclpResult(status="optimal", value=float(c @ floor_x), x=floor_x)
+
+    # ---- active-set search on the ball multiplier ------------------------
     # bracket: quad(nu_lo) > budget >= quad(nu_hi); quad is nonincreasing in
-    # nu.  The first step, from the all-free active set, is the box-free
-    # closed form.
+    # nu
     nu_lo, nu_hi = nu_floor, math.inf
-    at_l = at_u = np.zeros(c.size, dtype=bool)
-    step, _, _ = piece(raw, at_l, at_u, ranged=False)
     for _ in range(_MAX_NU_STEPS):
         exact = step is not None and nu_lo < step < nu_hi
         if exact:
@@ -327,20 +434,23 @@ def minimize_linear(
         elif math.isinf(nu_hi):
             if nu_lo > _NU_GUARD:
                 # quad(x(nu)) -> qmin <= budget as nu -> inf; numerically stuck
+                proj, _ = _project(center, a, box, total)
                 return QclpResult(status="optimal", value=float(c @ proj), x=proj)
             nu = 8.0 * nu_lo
         else:
             nu = math.sqrt(nu_lo) * math.sqrt(nu_hi)
         if not nu_lo < nu < nu_hi:
             # the bracket is down to adjacent floats: nu_hi is the root
-            raw, x, quad, _, _ = solve_at(nu_hi)
+            _, x, quad, _, _ = solve_at(nu_hi)
             break
         raw, x, quad, new_l, new_u = solve_at(nu)
         if exact and (new_l == at_l).all() and (new_u == at_u).all():
             # the step kept its active set, so it solved that piece exactly
             break
         at_l, at_u = new_l, new_u
-        step, nu_min, nu_max = piece(raw, at_l, at_u)
+        step, nu_min, nu_max, _, _ = _active_set_piece(
+            c, ca, a, inv_a, center, raw, at_l, at_u, l, u, budget, total
+        )
         # a piece without the root lies wholly on the side of nu
         if quad > budget:
             nu_lo = nu
@@ -352,6 +462,4 @@ def minimize_linear(
                 nu_hi = min(nu_hi, nu_min)
     else:
         raise SolverError("dual search on the ball multiplier did not converge")
-    if quad > budget + budget_slack:
-        raise SolverError("dual search failed to recover a feasible point")
-    return QclpResult(status="optimal", value=float(c @ x), x=x)
+    return found(x, quad)

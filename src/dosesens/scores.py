@@ -340,12 +340,15 @@ def parse_phi_expression(expr: str) -> Callable:
     def phi(r_z, r_y):
         namespace = {"r_z": r_z, "r_y": r_y, **_PHI_FUNCS}
         try:
-            value = eval(code, {"__builtins__": {}}, namespace)
-            # Python-number arithmetic (1 / 0), NumPy on a number too large
-            # for it (exp(10**23)) and the conversion below
-            if np.iscomplexobj(value):  # (-8) ** 0.5
-                raise ValueError("the value is complex")
-            return np.asarray(value, dtype=float)
+            # NumPy's floating-point warnings stay silent: a NaN or infinite
+            # score is reported once, by the finiteness check of the caller
+            with np.errstate(all="ignore"):
+                value = eval(code, {"__builtins__": {}}, namespace)
+                # Python-number arithmetic (1 / 0), NumPy on a number too
+                # large for it (exp(10**23)) and the conversion below
+                if np.iscomplexobj(value):  # (-8) ** 0.5
+                    raise ValueError("the value is complex")
+                return np.asarray(value, dtype=float)
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(f"phi expression cannot be evaluated: {exc}") from exc
 

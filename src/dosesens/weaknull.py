@@ -54,6 +54,9 @@ from .rngs import STREAM_WEAK_TAIL
 from .sharp import _runs
 
 OBJECTIVES = ("printed", "expectation")
+# ten times the default node limit; at a few thousand nodes a second a
+# higher one could keep a solve running for hours
+MAX_NODE_LIMIT = 1_000_000
 
 
 def variance_bound(tau_obs, gamma_i) -> float:
@@ -157,6 +160,8 @@ class SolverConfig:
             raise ConfigError(f"objective must be one of {OBJECTIVES}")
         if self.node_limit < 1:
             raise ConfigError("node_limit must be positive")
+        if self.node_limit > MAX_NODE_LIMIT:
+            raise ConfigError(f"node_limit must be at most {MAX_NODE_LIMIT}")
 
 
 def _finite_or_none(value):
@@ -229,6 +234,8 @@ class _Search:
         self.budget = denom * denom
         self.total = -float(np.sum(tau1))
         self.denom = denom
+        # the plane and ball every node relaxation shares
+        self.ball = qclp.Ball(self.a, tau1, self.budget, self.total, config.feas_tol)
         eps = problem.epsilon
         big_m = problem.big_m
         # leaf boxes per indicator value
@@ -284,16 +291,7 @@ class _Search:
             return self._leaf_cache[key]
         slope, icept, lo, hi = self._coeffs(wfix)
         self.node_count += 1
-        res = qclp.minimize_linear(
-            slope,
-            lo,
-            hi,
-            self.a,
-            self.tau1,
-            self.budget,
-            self.total,
-            feas_tol=self.config.feas_tol,
-        )
+        res = qclp.minimize_linear(slope, lo, hi, ball=self.ball)
         out = None
         if res.status == "optimal":
             out = (res.value + float(np.add.reduce(icept)), res.x)

@@ -21,6 +21,9 @@ The planning solves as they were before their passes went a leaf at a time
 (built-in samplers as whole-array formulas, the safeguarded Newton solves
 with ``ndarray.mean`` and ``np.std`` over draw-sized arrays) are kept as
 references for the blocked passes, which must match them bit for bit.
+The weak-null node solve as it was before its nu search started from a
+guessed active set is kept as the reference for ``dosesens.qclp``, which
+must match it bit for bit.
 """
 
 import itertools
@@ -382,6 +385,303 @@ def reference_node_coeffs(search, wfix):
         lo[free] = L
         hi[free] = U
     return slope, icept, lo, hi
+
+
+# ---------------------------------------------------------- frozen qclp --
+# The node solve as it stood when every nu search began from the all-free
+# active set, with the nu-floor solve and the projection screen run before
+# it on every node that reached them, and every argument validated on every
+# call.  Kept as the reference for ``dosesens.qclp.minimize_linear``, which
+# must match it bit for bit: the same status, value and ``x`` bytes.
+
+_FROZEN_NU_GUARD = 1e50
+_FROZEN_MAX_NU_STEPS = 400
+_FROZEN_SCREEN_STEP = 2.0**-10
+_FROZEN_INFEASIBLE = QclpResult(status="infeasible", value=math.inf, x=None)
+
+
+def _frozen_plane_root(center, g, s, box, total):
+    """Solve sum(clip(center - (g + lam)/s, l, u)) = total; (x, lam).
+
+    The sum is continuous, nonincreasing and piecewise linear in lam.
+    Coordinate i sits at u_i below lam = -g_i - s_i (u_i - center_i), at l_i
+    above lam = -g_i + s_i (center_i - l_i), and is free in between.  The
+    residual at each sorted breakpoint follows from the one before by the
+    slope of the segment between them; the root's segment is the first whose
+    right end has a nonpositive residual, and lam follows from its free set.
+    ``box`` is a _FrozenBox.
+    """
+    l, u = box.l, box.u
+    neg_g = -g
+    leave_u = neg_g - s * box.u_off
+    reach_l = neg_g + s * box.l_off
+    # the plane touches a box corner (to rounding precision): no sign change
+    excess = box.u_sum - total
+    if excess <= 0.0:
+        return u.copy(), float(np.minimum.reduce(leave_u)) - 1.0
+    if box.l_sum - total >= 0.0:
+        return l.copy(), float(np.maximum.reduce(reach_l)) + 1.0
+    n = center.size
+    breaks = np.concatenate((leave_u, reach_l))
+    order = breaks.argsort(kind="stable")
+    inv_s = 1.0 / s
+    slope = np.add.accumulate(np.concatenate((inv_s, -inv_s))[order])
+    ordered = breaks[order]
+    # drop[j] is the fall of the sum from breakpoint 0 to breakpoint j + 1,
+    # and the residual there, excess - drop[j], is <= 0 exactly when
+    # drop[j] >= excess
+    drop = np.add.accumulate(slope[:-1] * (ordered[1:] - ordered[:-1]))
+    past = drop >= excess
+    k = int(past.argmax()) + 1
+    if not past[k - 1]:
+        k = 2 * n - 1
+    passed = np.zeros(2 * n, dtype=bool)
+    passed[order[:k]] = True
+    below_u, at_l = passed[:n], passed[n:]
+    free = below_u > at_l  # left u, not yet at l
+    weight = float(np.add.reduce(inv_s[free]))
+    if weight > 0.0:
+        fixed = float(np.add.reduce(u[~below_u])) + float(np.add.reduce(l[at_l]))
+        moved = (center - g * inv_s)[free]
+        lam = (float(np.add.reduce(moved)) + fixed - total) / weight
+        lam = min(max(lam, float(ordered[k - 1])), float(ordered[k]))
+    else:
+        lam = float(ordered[k])
+    x = center - (g + lam) / s
+    return x.clip(l, u, out=x), lam
+
+
+def _frozen_solve_plane(center, c, a, nu, box, total):
+    """Find lambda with sum(x(nu, lambda)) = total; returns (x, lambda)."""
+    return _frozen_plane_root(center, c, 2.0 * nu * a, box, total)
+
+
+def _frozen_polish_equality(x, c, lam, l, u, total):
+    """Absorb the residual of sum(x) = total along near-zero reduced costs.
+
+    Returns ``x`` itself when there is nothing to absorb, else a polished
+    copy.
+    """
+    residual = total - float(np.add.reduce(x))
+    if residual == 0.0:
+        return x
+    x = x.copy()
+    for i in np.abs(c + lam).argsort():
+        room = (u[i] - x[i]) if residual > 0 else (x[i] - l[i])
+        step = math.copysign(min(abs(residual), room), residual)
+        x[i] += step
+        residual -= step
+        if abs(residual) <= 1e-15 * max(1.0, abs(total)):
+            break
+    return x
+
+
+class _FrozenBox:
+    """The box of one solve with the sums and offsets every plane root reads."""
+
+    __slots__ = ("l", "u", "l_sum", "u_sum", "u_off", "l_off")
+
+    def __init__(self, l, u, center, l_sum, u_sum):
+        self.l, self.u, self.l_sum, self.u_sum = l, u, l_sum, u_sum
+        self.u_off = u - center
+        self.l_off = center - l
+
+
+def _frozen_project(center, a, box, total):
+    zero = np.zeros_like(center)
+    x, _ = _frozen_plane_root(center, zero, 2.0 * a, box, total)
+    x = _frozen_polish_equality(x, zero, 0.0, box.l, box.u, total)
+    return x, float(np.add.reduce(a * (x - center) ** 2))
+
+
+def _frozen_active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, total, ranged=True):
+    """The piece of the path x(nu) on which the active set of x holds.
+
+    Off the free set F every coordinate is pressed against the bound it sits
+    at.  On the piece each unclipped coordinate is affine in t = 1/(2 nu),
+    y(t) = center - (R/A + t d)/a, and the ball term is t^2 V + R^2/A +
+    Q_fixed.  Returns the nu at which that ball term equals budget (None
+    when it never does: V = 0, or R^2/A + Q_fixed already reaches budget),
+    and, when ``ranged``, the smallest and largest nu at which every free y
+    stays in its box and every fixed one stays beyond its bound.  ``ca`` is
+    c * inv_a and ``inv_a`` is 1 / a.
+    """
+    free = ~(at_l | at_u)
+    if not free.any():
+        return None, 0.0, math.inf
+    fixed = ~free
+    A = float(np.add.reduce(inv_a[free]))
+    d = c - float(np.add.reduce(ca[free])) / A
+    V = float(np.add.reduce((d * d * inv_a)[free]))
+    R = float(np.add.reduce(center[free])) + float(np.add.reduce(x[fixed])) - total
+    q_fixed = float(np.add.reduce((a * (x - center) ** 2)[fixed]))
+    room = budget - R * R / A - q_fixed
+    root = math.sqrt(V / (4.0 * room)) if V > 0.0 and room > 0.0 else None
+    if not ranged:
+        return root, None, None
+    # y(t) = p - t m must stay >= floor and <= ceil
+    p = center - R / A * inv_a
+    m = d * inv_a
+    floor = np.where(at_l, -np.inf, np.where(at_u, u, l))
+    ceil = np.where(at_u, np.inf, np.where(at_l, l, u))
+    up, down = m > 0.0, m < 0.0
+    slope = np.where(m == 0.0, 1.0, m)
+    to_floor = (p - floor) / slope
+    to_ceil = (p - ceil) / slope
+    t_hi = min(np.minimum.reduce(to_floor[up], initial=math.inf),
+               np.minimum.reduce(to_ceil[down], initial=math.inf))
+    t_lo = max(np.maximum.reduce(to_ceil[up], initial=0.0),
+               np.maximum.reduce(to_floor[down], initial=0.0))
+    return root, 0.5 / t_hi, 0.5 / t_lo if t_lo > 0.0 else math.inf
+
+
+def frozen_minimize_linear(
+    c,
+    l,
+    u,
+    a,
+    center,
+    budget: float,
+    total: float,
+    feas_tol: float = 1e-9,
+) -> QclpResult:
+    """Solve the plane-ball-box linear minimization; see module docstring.
+
+    Raises SolverError on a weight that is not positive (NaN included), a
+    negative budget, or a NaN or infinite budget, total or entry of c, l, u
+    or center (or a sum of them, or of 1/a, that overflows).
+    """
+    c = np.asarray(c, dtype=float)
+    l = np.asarray(l, dtype=float)
+    u = np.asarray(u, dtype=float)
+    a = np.asarray(a, dtype=float)
+    center = np.asarray(center, dtype=float)
+    budget = float(budget)
+    total = float(total)
+    # written so that a NaN fails them
+    if not budget >= 0.0 or not (a > 0.0).all():
+        raise SolverError("ball weights must be positive and budget nonnegative")
+    # scalars the solve needs anyway; a NaN or infinity in the data shows here
+    l_sum = float(np.add.reduce(l))
+    u_sum = float(np.add.reduce(u))
+    center_sum = float(np.add.reduce(center))
+    c_max = float(np.maximum.reduce(c))
+    c_min = float(np.minimum.reduce(c))
+    inv_a = 1.0 / a
+    A1 = float(np.add.reduce(inv_a))
+    for value in (budget, total, l_sum, u_sum, center_sum, c_max - c_min, A1):
+        if not math.isfinite(value):
+            raise SolverError("solver data must be finite")
+    if not (l <= u).all() and (l > u + 1e-15 * np.maximum(1.0, np.abs(u))).any():
+        return _FROZEN_INFEASIBLE
+    eq_slack = feas_tol * max(1.0, abs(total))
+    if l_sum > total + eq_slack or u_sum < total - eq_slack:
+        return _FROZEN_INFEASIBLE
+
+    budget_slack = feas_tol * max(1.0, budget)
+    c_spread = c_max - c_min
+    c_scale = max(c_max, -c_min)  # max |c|
+    # objective constant on the plane: c @ x = c_mean * total + spread-noise
+    flat = c_spread <= 1e-15 * max(1.0, c_scale)
+
+    # ---- closed form ignoring the box ------------------------------------
+    s0 = total - center_sum
+    ca = c * inv_a
+    Ac = float(np.add.reduce(ca))
+    Acc = float(np.add.reduce(c * c * inv_a))
+    var_c = max(Acc - Ac * Ac / A1, 0.0)
+    ball_slack = budget - s0 * s0 / A1
+    closed = None
+    if not flat and ball_slack > 0.0 and var_c > 0.0:
+        nu = math.sqrt(var_c / (4.0 * ball_slack))
+        lam = (-2.0 * nu * s0 - Ac) / A1
+        step = (c + lam) / (2.0 * nu * a)
+        x = center - step
+        if (x >= l).all() and (x <= u).all():
+            closed = x
+            # The screens below cannot end the solve if a plane-box point
+            # has a ball term under budget - 2 slack.  From x toward the
+            # box-free projection center + (s0 / A1) / a the ball term falls as
+            # s0^2/A1 + (1 - t)^2 ball_slack; try t = _FROZEN_SCREEN_STEP.
+            t = _FROZEN_SCREEN_STEP
+            if ball_slack * t * (2.0 - t) > 2.0 * budget_slack:
+                y = x + t * ((s0 / A1) * inv_a + step)
+                if (y >= l).all() and (y <= u).all():
+                    return QclpResult(status="optimal", value=float(c @ x), x=x)
+
+    box = _FrozenBox(l, u, center, l_sum, u_sum)
+    proj, qmin = _frozen_project(center, a, box, total)
+    if qmin > budget + budget_slack:
+        return _FROZEN_INFEASIBLE
+    if qmin >= budget - budget_slack or flat:
+        # the feasible set is (numerically) the single projection point, or
+        # every point of it is optimal
+        return QclpResult(status="optimal", value=float(c @ proj), x=proj)
+    if closed is not None:
+        return QclpResult(status="optimal", value=float(c @ closed), x=closed)
+
+    # ---- active-set search on the ball multiplier ------------------------
+    radius = math.sqrt(budget / float(np.minimum.reduce(a))) if budget > 0 else 0.0
+    obj_scale = max(c_scale * max(radius, 1.0), 1.0)
+    nu_floor = 1e-12 * obj_scale / max(budget, 1e-300)
+
+    def solve_at(nu):
+        """(raw x, polished x, ball term, at-l mask, at-u mask) at nu."""
+        raw, lam = _frozen_solve_plane(center, c, a, nu, box, total)
+        x = _frozen_polish_equality(raw, c, lam, l, u, total)
+        quad = float(np.add.reduce(a * (x - center) ** 2))
+        return raw, x, quad, raw <= l, raw >= u
+
+    def piece(raw, at_l, at_u, ranged=True):
+        return _frozen_active_set_piece(
+            c, ca, a, inv_a, center, raw, at_l, at_u, l, u, budget, total, ranged
+        )
+
+    raw, x, quad, at_l, at_u = solve_at(nu_floor)
+    if quad <= budget + budget_slack:
+        return QclpResult(status="optimal", value=float(c @ x), x=x)
+
+    # bracket: quad(nu_lo) > budget >= quad(nu_hi); quad is nonincreasing in
+    # nu.  The first step, from the all-free active set, is the box-free
+    # closed form.
+    nu_lo, nu_hi = nu_floor, math.inf
+    at_l = at_u = np.zeros(c.size, dtype=bool)
+    step, _, _ = piece(raw, at_l, at_u, ranged=False)
+    for _ in range(_FROZEN_MAX_NU_STEPS):
+        exact = step is not None and nu_lo < step < nu_hi
+        if exact:
+            nu = step
+        elif math.isinf(nu_hi):
+            if nu_lo > _FROZEN_NU_GUARD:
+                # quad(x(nu)) -> qmin <= budget as nu -> inf; numerically stuck
+                return QclpResult(status="optimal", value=float(c @ proj), x=proj)
+            nu = 8.0 * nu_lo
+        else:
+            nu = math.sqrt(nu_lo) * math.sqrt(nu_hi)
+        if not nu_lo < nu < nu_hi:
+            # the bracket is down to adjacent floats: nu_hi is the root
+            raw, x, quad, _, _ = solve_at(nu_hi)
+            break
+        raw, x, quad, new_l, new_u = solve_at(nu)
+        if exact and (new_l == at_l).all() and (new_u == at_u).all():
+            # the step kept its active set, so it solved that piece exactly
+            break
+        at_l, at_u = new_l, new_u
+        step, nu_min, nu_max = piece(raw, at_l, at_u)
+        # a piece without the root lies wholly on the side of nu
+        if quad > budget:
+            nu_lo = nu
+            if (step is None or step > nu_max) and nu_max < nu_hi:
+                nu_lo = max(nu_lo, nu_max)
+        else:
+            nu_hi = nu
+            if (step is None or step < nu_min) and nu_min > nu_lo:
+                nu_hi = min(nu_hi, nu_min)
+    else:
+        raise SolverError("dual search on the ball multiplier did not converge")
+    if quad > budget + budget_slack:
+        raise SolverError("dual search failed to recover a feasible point")
+    return QclpResult(status="optimal", value=float(c @ x), x=x)
 
 
 # ------------------------------------------------- asymptotic root solves --

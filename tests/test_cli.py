@@ -189,6 +189,33 @@ def test_phi_expressions_numpy_rejects_are_config_errors(expr):
     assert "phi expression cannot be evaluated" in error["message"]
 
 
+@pytest.mark.parametrize("expr", ["sqrt(r_y - 100)", "log(r_y - r_y)"])
+def test_phi_expressions_with_nan_or_infinite_scores_print_one_line(expr):
+    # NumPy's "invalid value" and "divide by zero" warnings used to come
+    # first on stderr
+    proc = run_cli("analyze", PAIRS_60, "--gamma-bar", "1.5", "--method", "normal",
+                   f"--test={expr}")
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "data-error"
+    assert error["message"] == "scores must be finite"
+
+
+def test_node_limit_above_the_cap_is_a_config_error():
+    # 10**20 nodes used to be accepted, and the solve ran for minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "dosesens.cli", "weak-null", PAIRS_60, "--gamma-bar", "1.5",
+         "--lambda0", "0.5", "--node-limit", "99999999999999999999"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "config-error"
+    assert "1000000" in error["message"]
+
+
 def test_exact_support_past_the_cap_fails_fast(tmp_path):
     # 1,500 Wilcoxon pairs with outcomes on a 0.1 grid: midrank halves span
     # a lattice over the cap, and the merge loop took minutes to reach it

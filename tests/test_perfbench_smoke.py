@@ -42,7 +42,9 @@ def test_one_benchmark_round_is_correct(workload):
         assert result["attempted"] == 24
 
 
-@pytest.mark.parametrize("workload,attempted", [("sharp", 48), ("planning", 18)])
+@pytest.mark.parametrize(
+    "workload,attempted", [("sharp", 48), ("weak-null", 14), ("planning", 18)]
+)
 def test_one_traced_round_is_correct(workload, attempted):
     # a traced round runs every operation twice, so the counts double
     result, stdout = _one_round(workload, trace=1)

@@ -130,6 +130,13 @@ def test_problem_validation():
         SolverConfig(objective="observed")
 
 
+def test_node_limit_is_capped_at_ten_times_the_default():
+    assert SolverConfig(node_limit=1_000_000).node_limit == 1_000_000
+    for limit in (0, 1_000_001, 10**20):
+        with pytest.raises(ConfigError, match="node_limit"):
+            SolverConfig(node_limit=limit)
+
+
 def test_from_sample_builds_adjusted_responses():
     sample = sample_from_arrays([0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [3.0, 1.0])
     schedule = schedule_from_bounds([2.0, 2.0])
