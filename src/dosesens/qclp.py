@@ -288,9 +288,9 @@ def minimize_linear(
 
     The plane and ball come either as ``a, center, budget, total`` and
     ``feas_tol`` or, in their place, as one prepared ``ball``, which a
-    family of solves with the same plane and ball can share.  Raises SolverError where Ball does,
-    and on a NaN or infinite entry of c, l or u (or a sum of them that
-    overflows).
+    family of solves with the same plane and ball can share.  Raises
+    SolverError where Ball does, and on a NaN or infinite entry of c, l or
+    u (or a sum of them that overflows).
     """
     if ball is None:
         ball = Ball(a, center, budget, total, feas_tol)

@@ -288,9 +288,11 @@ def search_relaxations(monkeypatch, count):
         return solve(c, l, u, ball=ball)
 
     monkeypatch.setattr(qclp, "minimize_linear", recorded)
+    searches = 0
     while len(instances) < count:
-        objective = OBJECTIVES[len(instances) % 2]
-        _Search(weak_null_design(rng), SolverConfig(objective, node_limit=300)).run()
+        config = SolverConfig(OBJECTIVES[searches % 2], node_limit=300)
+        _Search(weak_null_design(rng), config).run()
+        searches += 1
     monkeypatch.setattr(qclp, "minimize_linear", solve)
     return instances
 
