@@ -45,14 +45,19 @@ tolerance.
    ball term clears budget by 3 slack at the piece's ends: above at the low
    end, the floor cannot end the solve; below at the high end, the
    projection, whose term is the limit nu -> inf, cannot.  A silent screen
-   is skipped, and with both silent the first step is taken at once: if it
-   keeps its active set it is the answer.  A floor solve whose ball term is
-   3 slack under budget also shows the projection silent, and answers.
+   is skipped, so with both silent the first step is the solve's first
+   plane solve, and the answer when it keeps its active set.  A floor solve
+   whose ball term is 3 slack under budget also shows the projection
+   silent, and answers.
 
-Every answer is bit for bit the one the screens and a search from the
-all-free active set would give: a screen is skipped only when it cannot
-fire, and the search returns the solve at the step of the active set that
-its own step keeps, however the search reached that set.
+A screen is skipped only when it cannot fire.  When the search stops
+because a step keeps its active set, its answer is the solve at that set's
+own step, whichever sets the search passed on the way, so it is bit for bit
+the answer of a search from the all-free set that stops at the same set.
+On the search's two other exits, a bracket down to adjacent floats and the
+nu guard, the answer depends on the route, so equal bits there are observed,
+not proved: the tests compare solves on seeded node relaxations with a
+frozen copy of the all-free search.
 
 A ``Ball`` holds the plane and the ball, validated once, with what depends
 on them alone, for a family of solves that differ only in c, l and u.
@@ -187,7 +192,8 @@ def project_plane_box(center, a, l, u, total):
     return _project(center, a, box, total)
 
 
-def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, total):
+def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, total,
+                      guess=False):
     """The piece of the path x(nu) on which the active set of x holds.
 
     Off the free set F every coordinate is pressed against the bound it sits
@@ -197,9 +203,11 @@ def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, tota
     room)``: the nu at which that ball term equals budget (None when it
     never does: V = 0, or room <= 0), and the smallest and largest nu at
     which every free y stays in its box and every fixed one stays beyond its
-    bound; a coordinate that does not move with t and sits on the wrong side
-    of a bound empties the piece (nu_min = inf, nu_max = 0), which a guessed
-    active set can do.  ``ca`` is c * inv_a and ``inv_a`` is 1 / a.
+    bound.  For a ``guess``, an active set not read off a plane solve, a
+    coordinate that does not move with t and sits on the wrong side of a
+    bound empties the piece (nu_min = inf, nu_max = 0); for a solved set it
+    can only sit there by rounding, and is ignored.  ``ca`` is c * inv_a and
+    ``inv_a`` is 1 / a.
     """
     free = ~(at_l | at_u)
     if not free.any():
@@ -218,7 +226,7 @@ def _active_set_piece(c, ca, a, inv_a, center, x, at_l, at_u, l, u, budget, tota
     floor = np.where(at_l, -np.inf, np.where(at_u, u, l))
     ceil = np.where(at_u, np.inf, np.where(at_l, l, u))
     up, down = m > 0.0, m < 0.0
-    if ((m == 0.0) & ((p < floor) | (p > ceil))).any():
+    if guess and ((m == 0.0) & ((p < floor) | (p > ceil))).any():
         return root, math.inf, 0.0, V, room
     slope = np.where(m == 0.0, 1.0, m)
     to_floor = (p - floor) / slope
@@ -272,28 +280,13 @@ class Ball:
         self.eq_slack = feas_tol * max(1.0, abs(total))
 
 
-def minimize_linear(
-    c,
-    l,
-    u,
-    a=None,
-    center=None,
-    budget: float | None = None,
-    total: float | None = None,
-    feas_tol: float = 1e-9,
-    *,
-    ball: Ball | None = None,
-) -> QclpResult:
-    """Solve the plane-ball-box linear minimization; see module docstring.
+def minimize_linear(c, l, u, ball: Ball) -> QclpResult:
+    """Minimize c @ x over the plane and ball of ``ball`` and the box [l, u].
 
-    The plane and ball come either as ``a, center, budget, total`` and
-    ``feas_tol`` or, in their place, as one prepared ``ball``, which a
-    family of solves with the same plane and ball can share.  Raises
-    SolverError where Ball does, and on a NaN or infinite entry of c, l or
-    u (or a sum of them that overflows).
+    See the module docstring.  Raises SolverError on a NaN or infinite entry
+    of c, l or u (or a sum of them that overflows); ``Ball`` checks the
+    plane and ball.
     """
-    if ball is None:
-        ball = Ball(a, center, budget, total, feas_tol)
     c = np.asarray(c, dtype=float)
     l = np.asarray(l, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -355,11 +348,6 @@ def minimize_linear(
         quad = float(np.add.reduce(a * (x - center) ** 2))
         return raw, x, quad, raw <= l, raw >= u
 
-    def found(x, quad):
-        if quad > budget + budget_slack:
-            raise SolverError("dual search failed to recover a feasible point")
-        return QclpResult(status="optimal", value=float(c @ x), x=x)
-
     # ---- certificates from the piece the search starts on -----------------
     floor_out = proj_out = False  # the floor solve, the projection screens
     floor_x = None
@@ -372,7 +360,7 @@ def minimize_linear(
         else:
             at_l, at_u = warm <= l, warm >= u
         step, nu_min, nu_max, V, room = _active_set_piece(
-            c, ca, a, inv_a, center, warm, at_l, at_u, l, u, budget, total
+            c, ca, a, inv_a, center, warm, at_l, at_u, l, u, budget, total, guess=True
         )
         # On a piece that is not empty the ball term V t^2 + budget - room,
         # t = 1/(2 nu), is that of x(nu), which falls as nu grows.  More
@@ -381,27 +369,21 @@ def minimize_linear(
         # than 3 slack under budget at its high end, it bounds the
         # projection's term, the limit nu -> inf, so neither projection
         # screen can fire.  Rounding enters as follows: each computed d_i,
-        # and each c_i + lambda of a plane solve, is off by at most delta,
-        # which moves coordinate i by t delta / a_i and a ball term Q by at
-        # most 2 y sqrt(Q) + y^2, with y = t delta sqrt(A1).
+        # and each c_i + lambda of a plane solve, is off by at most
+        # err = 2 (n + 4) eps max|c|, which moves coordinate i by t err / a_i
+        # and a ball term Q by at most 2 y sqrt(Q) + y^2, with
+        # y = t err sqrt(A1) = t delta_sqrt_a.
         margin = 3.0 * budget_slack
-        delta = 2.0 * (c.size + 4) * _EPS * c_scale * math.sqrt(A1)
+        delta_sqrt_a = 2.0 * (c.size + 4) * _EPS * c_scale * math.sqrt(A1)
         nu_low = max(nu_min, nu_floor)
         if 0.0 <= nu_min and nu_low <= nu_max:
-            s, y = 0.5 / nu_low * math.sqrt(V), 0.5 / nu_low * delta
+            s, y = 0.5 / nu_low * math.sqrt(V), 0.5 / nu_low * delta_sqrt_a
             q_low = budget - room + s * (s - 2.0 * y) - y * y  # at nu_low
-            y = 0.5 / nu_floor * delta
+            y = 0.5 / nu_floor * delta_sqrt_a
             floor_out = (math.sqrt(max(q_low, 0.0)) > y
                          and q_low - 2.0 * y * math.sqrt(q_low) - y * y > budget + margin)
-            s, y = 0.5 / nu_max * math.sqrt(V), 0.5 / nu_max * delta
+            s, y = 0.5 / nu_max * math.sqrt(V), 0.5 / nu_max * delta_sqrt_a
             proj_out = (s + y) ** 2 - room < -margin
-        if step is not None and floor_out and proj_out:
-            # the search is sure to run, and it ends at the step of the
-            # active set that its own step keeps: if this one does, that
-            # step is the answer
-            _, x, quad, new_l, new_u = solve_at(step)
-            if (new_l == at_l).all() and (new_u == at_u).all():
-                return found(x, quad)
         if not floor_out:
             _, floor_x, floor_quad, _, _ = solve_at(nu_floor)
             # the floor point lies on the plane and in the box, so its ball
@@ -462,4 +444,6 @@ def minimize_linear(
                 nu_hi = min(nu_hi, nu_min)
     else:
         raise SolverError("dual search on the ball multiplier did not converge")
-    return found(x, quad)
+    if quad > budget + budget_slack:
+        raise SolverError("dual search failed to recover a feasible point")
+    return QclpResult(status="optimal", value=float(c @ x), x=x)

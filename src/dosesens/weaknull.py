@@ -291,7 +291,7 @@ class _Search:
             return self._leaf_cache[key]
         slope, icept, lo, hi = self._coeffs(wfix)
         self.node_count += 1
-        res = qclp.minimize_linear(slope, lo, hi, ball=self.ball)
+        res = qclp.minimize_linear(slope, lo, hi, self.ball)
         out = None
         if res.status == "optimal":
             out = (res.value + float(np.add.reduce(icept)), res.x)

@@ -31,9 +31,14 @@ from oracles import frozen_minimize_linear, reference_minimize_linear
 FEAS_TOL = 1e-9
 
 
+def solve(c, l, u, a, center, budget, total, feas_tol=FEAS_TOL):
+    """minimize_linear on the plane and ball of (a, center, budget, total)."""
+    return qclp.minimize_linear(c, l, u, qclp.Ball(a, center, budget, total, feas_tol))
+
+
 def check_agrees(c, l, u, a, center, budget, total):
     c, l, u, a, center = (np.asarray(v, dtype=float) for v in (c, l, u, a, center))
-    res = qclp.minimize_linear(c, l, u, a, center, budget, total, feas_tol=FEAS_TOL)
+    res = solve(c, l, u, a, center, budget, total)
     ref = reference_minimize_linear(c, l, u, a, center, budget, total, feas_tol=FEAS_TOL)
     assert res.status == ref.status
     if res.status == "infeasible":
@@ -147,7 +152,7 @@ def test_active_ball_is_met_at_the_root():
     solved = 0
     for _ in range(300):
         c, l, u, a, center, budget, total = random_instance(rng)
-        res = qclp.minimize_linear(c, l, u, a, center, budget, total)
+        res = solve(c, l, u, a, center, budget, total)
         if res.status != "optimal":
             continue
         lp = reference_minimize_linear(c, l, u, a, center, 1e12, total)
@@ -225,15 +230,15 @@ def small_instance(name=None, bad=None):
 def test_nan_data_raises_instead_of_a_nan_optimum(name):
     """A NaN anywhere in the data used to come back "optimal" with a NaN
     value, which would make every bound comparison of a search meaningless."""
-    assert qclp.minimize_linear(**small_instance()).status == "optimal"
+    assert solve(**small_instance()).status == "optimal"
     with pytest.raises(SolverError):
-        qclp.minimize_linear(**small_instance(name, np.nan))
+        solve(**small_instance(name, np.nan))
 
 
 @pytest.mark.parametrize("name", ["budget", "total", "c", "l", "u", "center"])
 def test_infinite_data_raises(name):
     with pytest.raises(SolverError, match="finite"):
-        qclp.minimize_linear(**small_instance(name, np.inf))
+        solve(**small_instance(name, np.inf))
 
 
 def near_degenerate_instance(rng):
@@ -254,10 +259,10 @@ def test_skipped_projection_screen_changes_no_bit(make, monkeypatch):
     bit."""
     rng = np.random.default_rng(20261019)
     instances = [make(rng) for _ in range(1500)]
-    first = [qclp.minimize_linear(*inst, feas_tol=FEAS_TOL) for inst in instances]
+    first = [solve(*inst) for inst in instances]
     monkeypatch.setattr(qclp, "_SCREEN_STEP", 0.0)
     for inst, res in zip(instances, first):
-        ref = qclp.minimize_linear(*inst, feas_tol=FEAS_TOL)
+        ref = solve(*inst)
         assert res.status == ref.status
         assert res.value == ref.value or (math.isinf(res.value) and math.isinf(ref.value))
         if ref.x is not None:
@@ -281,11 +286,11 @@ def search_relaxations(monkeypatch, count):
     of seeded searches under both objectives, 300 nodes each at most."""
     rng = np.random.default_rng(20261020)
     instances = []
-    solve = qclp.minimize_linear
+    minimize_linear = qclp.minimize_linear
 
     def recorded(c, l, u, ball):
         instances.append((c, l, u, ball.a, ball.center, ball.budget, ball.total))
-        return solve(c, l, u, ball=ball)
+        return minimize_linear(c, l, u, ball)
 
     monkeypatch.setattr(qclp, "minimize_linear", recorded)
     searches = 0
@@ -293,21 +298,22 @@ def search_relaxations(monkeypatch, count):
         config = SolverConfig(OBJECTIVES[searches % 2], node_limit=300)
         _Search(weak_null_design(rng), config).run()
         searches += 1
-    monkeypatch.setattr(qclp, "minimize_linear", solve)
+    monkeypatch.setattr(qclp, "minimize_linear", minimize_linear)
     return instances
 
 
 def one_step_outcome(monkeypatch):
     """A probe of a solve's path: ``probe(instance)`` solves it and returns
-    "fired" when the first step of the nu search was its only plane solve,
-    with no projection and no floor solve, "declined" when that step was
-    not taken at once or did not end the solve, and None when the solve did
-    not reach the search's first step."""
+    its result and "fired" when the first step of the nu search was its
+    only plane solve, with no projection and no floor solve, "declined"
+    when the certificates left a screen to run first, "searched" when that
+    step was taken at once but did not keep its active set, and None when
+    the solve ended before the certificates."""
     events = []
     piece, solve_plane, project = qclp._active_set_piece, qclp._solve_plane, qclp._project
 
-    def first_piece(*args):
-        out = piece(*args)
+    def first_piece(*args, **kwargs):
+        out = piece(*args, **kwargs)
         if not events:
             events.append(("first step", out[0]))
         return out
@@ -326,11 +332,13 @@ def one_step_outcome(monkeypatch):
 
     def probe(instance):
         events.clear()
-        res = qclp.minimize_linear(*instance, feas_tol=FEAS_TOL)
+        res = solve(*instance)
         if not events or events[0][0] != "first step":
             return res, None
-        fired = events[1:] == [("plane", events[0][1])]
-        return res, "fired" if fired else "declined"
+        first = ("plane", events[0][1])
+        if events[1:2] != [first]:
+            return res, "declined"
+        return res, "fired" if len(events) == 2 else "searched"
 
     return probe
 
